@@ -33,14 +33,18 @@ int main(int argc, char** argv) {
   const std::string bam_path = tmp.file("d.bam");
   simdata::write_sam_dataset(sam_path, genome, pairs, cfg);
   simdata::write_bam_dataset(bam_path, genome, pairs, cfg);
-  auto pre =
-      core::preprocess_bam(bam_path, tmp.file("d.bamx"), tmp.file("d.baix"));
+  // One shard, so the whole dataset is one monolithic BAMX file.
+  core::PreprocessOptions popt;
+  popt.shards = 1;
+  auto pre = core::preprocess_bam_parallel(bam_path, tmp.file("d.bamxm"),
+                                           tmp.file("d.baix"), popt);
+  const std::string bamx_path = tmp.file("d-shard-0.bamx");
   const double n = static_cast<double>(pre.records);
 
   // Space amplification.
   uint64_t sam_size = file_size(sam_path);
   uint64_t bam_size = file_size(bam_path);
-  uint64_t bamx_size = file_size(tmp.file("d.bamx"));
+  uint64_t bamx_size = file_size(bamx_path);
   std::printf("space: SAM %.1f MB, BAM %.1f MB, BAMX %.1f MB "
               "(padding amplification vs BAM: %.2fx, vs SAM: %.2fx)\n",
               sam_size / 1e6, bam_size / 1e6, bamx_size / 1e6,
@@ -84,7 +88,7 @@ int main(int argc, char** argv) {
   }
   {
     WallTimer t;
-    bamx::BamxReader reader(tmp.file("d.bamx"));
+    bamx::BamxReader reader(bamx_path);
     std::vector<sam::AlignmentRecord> batch;
     for (uint64_t at = 0; at < reader.num_records();) {
       uint64_t take = std::min<uint64_t>(4096, reader.num_records() - at);
@@ -98,7 +102,7 @@ int main(int argc, char** argv) {
 
   // Random access: only BAMX supports it without an index walk.
   {
-    bamx::BamxReader reader(tmp.file("d.bamx"));
+    bamx::BamxReader reader(bamx_path);
     sam::AlignmentRecord rec;
     WallTimer t;
     const uint64_t probes = 20000;

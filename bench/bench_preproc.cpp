@@ -1,25 +1,22 @@
-// BAM preprocessing benchmark: the sequential two-pass preprocessor vs the
-// single-pass parallel pipeline (framing -> parse+encode workers -> ordered
-// commit -> parallel re-stride), plus an analytic model calibrated from the
-// measured serial per-stage costs.
+// BAM preprocessing benchmark: the single-pass pipeline (framing ->
+// parse+encode workers -> ordered commit -> parallel re-stride) at P
+// workers against itself at P = 1, the sequential baseline, plus an
+// analytic model calibrated from the measured serial per-stage costs.
 //
 // Emits BENCH_preproc.json (path configurable with --json) with two
 // sections:
 //
-//   "measured": real wall-clock seconds of preprocess_bam (two passes,
-//     monolithic BAMX) and preprocess_bam_parallel (BAMXM manifest) on
-//     this machine. On a single-core container the parallel pipeline
-//     cannot beat the sequential passes; the numbers then chiefly bound
-//     the orchestration overhead.
+//   "measured": real wall-clock seconds of preprocess_bam_parallel (BAMXM
+//     manifest) on this machine at P = 1, 2, 4, with the speedup over
+//     P = 1.
 //   "modeled": wall time predicted from the measured serial per-stage
-//     costs under P genuinely concurrent workers. The sequential baseline
-//     pays decode + framing + parse twice (measure pass, encode pass) plus
-//     one encode; the pipeline pays them once, with only record framing as
+//     costs under P genuinely concurrent workers, with record framing as
 //     the sequential residue (the paper's §III-B observation):
 //
-//       T_seq(P)  = 2*(t_decode + t_frame + t_parse) + t_encode
-//       T_pipe(P) = max(t_frame, (t_decode + t_parse + t_encode) / P)
-//                   + t_restride / P
+//       T(P) = max(t_frame, (t_decode + t_parse + t_encode) / P)
+//              + t_restride / P
+//
+//     and the speedup T(1) / T(P).
 //
 // Usage: bench_preproc [--pairs N] [--repeats R] [--json PATH]
 
@@ -41,7 +38,6 @@ using namespace ngsx;
 namespace {
 
 struct Measured {
-  std::string preprocessor;
   int threads = 0;
   double seconds = 0.0;
 };
@@ -58,8 +54,8 @@ int main(int argc, char** argv) {
 
   TempDir tmp("bench_preproc");
   const std::string bam_path = tmp.file("input.bam");
-  std::printf("=== BAM preprocessing: two-pass sequential vs one-pass "
-              "parallel ===\n");
+  std::printf("=== BAM preprocessing: one-pass pipeline, P workers vs "
+              "P = 1 ===\n");
   auto genome = simdata::ReferenceGenome::simulate(
       simdata::mouse_like_references(2'000'000), 99);
   std::vector<sam::AlignmentRecord> records;
@@ -147,48 +143,37 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------------- measured
   std::vector<Measured> measured;
-  auto record_best = [&](const std::string& name, int threads, auto run) {
+  std::printf("measured (best of %d runs):\n", repeats);
+  for (int threads : {1, 2, 4}) {
     double best = 1e300;
     for (int r = 0; r < repeats; ++r) {
-      best = std::min(best, run());
-    }
-    measured.push_back(Measured{name, threads, best});
-    std::printf("  %-10s threads=%d  %8.3f s\n", name.c_str(), threads,
-                best);
-  };
-
-  std::printf("measured (best of %d runs):\n", repeats);
-  record_best("two-pass", 1, [&] {
-    TempDir out("bench_preproc_seq");
-    auto stats = core::preprocess_bam(bam_path, out.file("x.bamx"),
-                                      out.file("x.baix"),
-                                      /*decode_threads=*/1);
-    return stats.seconds;
-  });
-  for (int threads : {1, 2, 4}) {
-    record_best("one-pass", threads, [&] {
       TempDir out("bench_preproc_par");
       core::PreprocessOptions opt;
       opt.threads = threads;
       opt.decode_threads = threads;
       auto stats = core::preprocess_bam_parallel(
           bam_path, out.file("x.bamxm"), out.file("x.baix"), opt);
-      return stats.seconds;
-    });
+      best = std::min(best, stats.seconds);
+    }
+    measured.push_back(Measured{threads, best});
+    std::printf("  threads=%d  %8.3f s (%.2fx over P=1)\n", threads, best,
+                measured.front().seconds / best);
   }
 
   // -------------------------------------------------------------- modeled
-  const double t_seq = 2.0 * (t_decode + t_frame + t_parse) + t_encode;
   const std::vector<int> model_threads = {1, 2, 4, 8, 16};
   std::vector<double> modeled_s;
-  std::printf("modeled (P concurrent workers, from serial stage costs; "
-              "sequential baseline %.3f s):\n", t_seq);
   for (int p : model_threads) {
-    double pipe = std::max(t_frame, (t_decode + t_parse + t_encode) / p) +
-                  t_restride / p;
-    modeled_s.push_back(pipe);
-    std::printf("  P=%-2d %8.3f s (%.2fx over two-pass)\n", p, pipe,
-                t_seq / pipe);
+    modeled_s.push_back(
+        std::max(t_frame, (t_decode + t_parse + t_encode) / p) +
+        t_restride / p);
+  }
+  const double t_seq = modeled_s.front();
+  std::printf("modeled (P concurrent workers, from serial stage costs; "
+              "sequential baseline P=1 %.3f s):\n", t_seq);
+  for (size_t i = 0; i < model_threads.size(); ++i) {
+    std::printf("  P=%-2d %8.3f s (%.2fx over P=1)\n", model_threads[i],
+                modeled_s[i], t_seq / modeled_s[i]);
   }
 
   // ----------------------------------------------------------------- JSON
@@ -211,9 +196,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < measured.size(); ++i) {
     const Measured& m = measured[i];
     std::fprintf(f,
-                 "    {\"preprocessor\": \"%s\", \"threads\": %d, "
-                 "\"seconds\": %.4f}%s\n",
-                 m.preprocessor.c_str(), m.threads, m.seconds,
+                 "    {\"threads\": %d, \"seconds\": %.4f, "
+                 "\"speedup\": %.2f}%s\n",
+                 m.threads, m.seconds, measured.front().seconds / m.seconds,
                  i + 1 < measured.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

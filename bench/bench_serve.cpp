@@ -82,12 +82,13 @@ int main(int argc, char** argv) {
     }
     w.close();
   }
-  const std::string bamx_path = tmp.file("input.bamx");
+  const std::string bamx_path = tmp.file("input.bamxm");
   const std::string baix_path = tmp.file("input.baix");
-  core::preprocess_bam(bam_path, bamx_path, baix_path);
-  std::printf("dataset: %llu records, %.1f MB BAMX\n",
+  const auto pre =
+      core::preprocess_bam_parallel(bam_path, bamx_path, baix_path);
+  std::printf("dataset: %llu records, %.1f MB BAMX shards + BAIX\n",
               static_cast<unsigned long long>(records.size()),
-              file_size(bamx_path) / 1e6);
+              pre.bytes_out / 1e6);
 
   core::SessionOptions sopt;
   sopt.bamx_path = bamx_path;

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
 
   bench::print_header("Figure 10: SAM preprocessing speedup");
 
-  // Functional check: parallel preprocessing reproduces identical shards.
+  // Functional check: parallel preprocessing reproduces the sequential
+  // (M = 1 / P = 1) record set and BAIX.
   {
     TempDir tmp("fig10");
     auto genome = simdata::ReferenceGenome::simulate(
@@ -41,16 +42,20 @@ int main(int argc, char** argv) {
     rcfg.seed = 10;
     const std::string sam_path = tmp.file("in.sam");
     simdata::write_sam_dataset(sam_path, genome, 4000, rcfg);
-    auto one = core::preprocess_sam_parallel(sam_path, tmp.subdir("m1"), 1);
-    auto four = core::preprocess_sam_parallel(sam_path, tmp.subdir("m4"), 4);
+    auto one = core::preprocess_sam_parallel(sam_path, tmp.file("m1.bamxm"),
+                                             tmp.file("m1.baix"), 1);
+    auto four = core::preprocess_sam_parallel(sam_path, tmp.file("m4.bamxm"),
+                                              tmp.file("m4.baix"), 4);
     std::printf("functional check: %llu records preprocessed, "
-                "M=1 and M=4 record totals %s\n",
+                "M=1 and M=4 record totals %s, BAIX files %s\n",
                 static_cast<unsigned long long>(one.records),
-                one.records == four.records ? "agree" : "DISAGREE");
+                one.records == four.records ? "agree" : "DISAGREE",
+                read_file(tmp.file("m1.baix")) ==
+                        read_file(tmp.file("m4.baix"))
+                    ? "identical"
+                    : "DIFFER");
 
-    // Same property for the BAM side: the single-pass parallel
-    // preprocessor's shard manifest must convert to the same record total
-    // as the sequential two-pass BAMX.
+    // Same property for the BAM side.
     const std::string bam_path = tmp.file("in.bam");
     {
       simdata::ReadSimConfig bcfg;
@@ -62,13 +67,15 @@ int main(int argc, char** argv) {
       }
       w.close();
     }
-    auto seq = core::preprocess_bam(bam_path, tmp.file("seq.bamx"),
-                                    tmp.file("seq.baix"));
+    core::PreprocessOptions sopt;
+    sopt.threads = 1;
+    auto seq = core::preprocess_bam_parallel(bam_path, tmp.file("seq.bamxm"),
+                                             tmp.file("seq.baix"), sopt);
     core::PreprocessOptions popt;
     popt.threads = 4;
     auto par = core::preprocess_bam_parallel(bam_path, tmp.file("par.bamxm"),
                                              tmp.file("par.baix"), popt);
-    std::printf("functional check: BAM two-pass and one-pass record totals "
+    std::printf("functional check: BAM P=1 and P=4 record totals "
                 "%s (%llu records), BAIX files %s\n",
                 seq.records == par.records ? "agree" : "DISAGREE",
                 static_cast<unsigned long long>(par.records),

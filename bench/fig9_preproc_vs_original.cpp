@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
       "Figure 9: preprocessing-optimized vs original SAM converter");
 
   // Functional check: the conversion phase consumes a BAMXM shard
-  // manifest (single-pass parallel preprocessing) and a monolithic BAMX
-  // (two-pass sequential preprocessing) interchangeably.
+  // manifest and a monolithic BAMX (the lone shard of a one-shard
+  // preprocess) interchangeably.
   {
     TempDir tmp("fig9");
     auto genome = simdata::ReferenceGenome::simulate(
@@ -51,8 +51,11 @@ int main(int argc, char** argv) {
       }
       w.close();
     }
-    auto seq = core::preprocess_bam(bam_path, tmp.file("s.bamx"),
-                                    tmp.file("s.baix"));
+    core::PreprocessOptions one_shard;
+    one_shard.threads = 4;
+    one_shard.shards = 1;
+    auto seq = core::preprocess_bam_parallel(bam_path, tmp.file("s.bamxm"),
+                                             tmp.file("s.baix"), one_shard);
     core::PreprocessOptions popt;
     popt.threads = 4;
     core::preprocess_bam_parallel(bam_path, tmp.file("p.bamxm"),
@@ -60,8 +63,9 @@ int main(int argc, char** argv) {
     core::ConvertOptions copt;
     copt.format = core::TargetFormat::kBed;
     copt.ranks = 4;
-    auto from_bamx = core::convert_bamx(tmp.file("s.bamx"), tmp.file("s.baix"),
-                                        tmp.subdir("out-bamx"), copt);
+    auto from_bamx =
+        core::convert_bamx(tmp.file("s-shard-0.bamx"), tmp.file("s.baix"),
+                           tmp.subdir("out-bamx"), copt);
     auto from_manifest = core::convert_bamx(tmp.file("p.bamxm"),
                                             tmp.file("p.baix"),
                                             tmp.subdir("out-manifest"), copt);

@@ -78,9 +78,10 @@ int main(int argc, char** argv) {
   });
 
   // Preprocessing-optimized path: SAM -> BAMX once, then convert from BAMX.
-  auto pre = core::preprocess_sam_parallel(sam_path, tmp.subdir("s2f-pre"), 1);
+  auto pre = core::preprocess_sam_parallel(sam_path, tmp.file("s2f.bamxm"),
+                                           tmp.file("s2f.baix"), 1);
   double sam_fastq_pre = timed([&] {
-    core::convert_bamx_shards(pre.bamx_paths, tmp.subdir("s2f-conv"),
+    core::convert_bamx_shards(tmp.file("s2f.bamxm"), tmp.subdir("s2f-conv"),
                               seq_opts);
   });
 
@@ -93,13 +94,17 @@ int main(int argc, char** argv) {
     baseline::convert_bam_via_bamtools(bam_path, tmp.file("via.sam"), "sam");
   });
 
-  auto bam_pre = core::preprocess_bam(bam_path, tmp.file("b.bamx"),
-                                      tmp.file("b.baix"));
+  // Sequential preprocessing: the one-pass pipeline on one worker.
+  core::PreprocessOptions bam_pre_opts;
+  bam_pre_opts.threads = 1;
+  bam_pre_opts.decode_threads = 1;
+  auto bam_pre = core::preprocess_bam_parallel(
+      bam_path, tmp.file("b.bamxm"), tmp.file("b.baix"), bam_pre_opts);
   core::ConvertOptions b2s_opts;
   b2s_opts.format = core::TargetFormat::kSam;
   b2s_opts.ranks = 1;
   double bam_sam_pre = timed([&] {
-    core::convert_bamx(tmp.file("b.bamx"), tmp.file("b.baix"),
+    core::convert_bamx(tmp.file("b.bamxm"), tmp.file("b.baix"),
                        tmp.subdir("b2s-conv"), b2s_opts);
   });
 

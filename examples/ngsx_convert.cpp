@@ -13,8 +13,8 @@
 // For SAM input, --preprocess selects the preprocessing-optimized
 // converter (III-C, M preprocessing ranks + N conversion ranks); otherwise
 // the direct Algorithm-1 converter runs (III-A). BAM input is always
-// preprocessed into BAMX/BAIX next to the output (III-B); --region
-// performs partial conversion via the BAIX.
+// preprocessed into a BAMXM shard manifest + BAIX next to the output
+// (III-B); --region performs partial conversion via the BAIX.
 //
 // --metrics writes the merged metrics snapshot (schema ngsx.metrics.v1)
 // and --trace writes Chrome-trace JSON for chrome://tracing / Perfetto;
@@ -25,7 +25,7 @@
 #include <cstdio>
 
 #include <filesystem>
-
+#include <functional>
 #include <memory>
 
 #include "core/collate.h"
@@ -57,10 +57,9 @@ int usage(const char* prog) {
                "--ranks 0 / --threads 0 / --decode-threads 0 auto-detect\n"
                "the hardware width; --decode-threads sets the BGZF inflate\n"
                "workers used while reading BAM input\n"
-               "--preprocess-threads sets the BAM preprocessing width:\n"
-               "1 runs the sequential two-pass preprocessor, anything else\n"
-               "(0 = auto) runs the single-pass parallel preprocessor that\n"
-               "emits a BAMXM shard manifest\n"
+               "--preprocess-threads sets the width of the single-pass BAM\n"
+               "preprocessor (0 = auto, 1 = sequential), which emits a BAMXM\n"
+               "shard manifest + BAIX next to the part files\n"
                "--region-mode start (default) keeps the BAIX start-keyed\n"
                "query; overlap builds a BAIX v2 and selects every alignment\n"
                "overlapping the region (see docs/FILEFORMATS.md)\n"
@@ -281,45 +280,38 @@ int main(int argc, char** argv) {
       throw UsageError("--region-mode must be start or overlap");
     }
 
+    // Preprocessing and index builds are thread-pool stages, not
+    // mpi-parallel ones: in a launched world rank 0 writes the files while
+    // the other ranks wait at the run() barrier, then everyone reads them.
+    const auto on_rank0 = [&](const std::function<void()>& stage) {
+      if (!mpi::launched()) {
+        stage();
+        return;
+      }
+      mpi::run(options.ranks, [&](mpi::Comm& comm) {
+        if (comm.rank() == 0) {
+          stage();
+        }
+      });
+    };
+
     core::ConvertStats stats;
     if (strutil::ends_with(in, ".bam")) {
-      // BAM path: preprocess (III-B), then full or partial conversion.
-      // --preprocess-threads 1 keeps the sequential two-pass preprocessor
-      // (monolithic .bamx); any other value runs the single-pass parallel
-      // preprocessor, which emits a BAMXM shard manifest the conversion
-      // phase consumes transparently.
+      // BAM path: preprocess (III-B) into a BAMXM shard manifest + BAIX,
+      // then full or partial conversion.
       const int64_t preprocess_request = args.get_int("preprocess-threads", 0);
       if (preprocess_request < 0) {
         throw UsageError("--preprocess-threads must be >= 0 (0 = auto)");
       }
+      const std::string bamx = out + "/input.bamxm";
       const std::string baix = out + "/input.baix";
       std::filesystem::create_directories(out);
-      std::string bamx;
+      core::PreprocessOptions popt;
+      popt.threads = static_cast<int>(preprocess_request);
+      popt.decode_threads = options.decode_threads;
       core::PreprocessStats pre;
-      const auto run_preprocess = [&] {
-        if (preprocess_request == 1) {
-          pre = core::preprocess_bam(in, bamx, baix, options.decode_threads);
-        } else {
-          core::PreprocessOptions popt;
-          popt.threads = static_cast<int>(preprocess_request);
-          popt.decode_threads = options.decode_threads;
-          pre = core::preprocess_bam_parallel(in, bamx, baix, popt);
-        }
-      };
-      bamx = preprocess_request == 1 ? out + "/input.bamx"
-                                     : out + "/input.bamxm";
-      if (mpi::launched()) {
-        // Preprocessing is a thread-pool stage, not an mpi-parallel one:
-        // rank 0 writes the BAMX/BAIX while the other ranks wait at the
-        // run() barrier, then everyone reads the published files.
-        mpi::run(options.ranks, [&](mpi::Comm& comm) {
-          if (comm.rank() == 0) {
-            run_preprocess();
-          }
-        });
-      } else {
-        run_preprocess();
-      }
+      on_rank0(
+          [&] { pre = core::preprocess_bam_parallel(in, bamx, baix, popt); });
       if (primary) {
         std::fprintf(stderr, "preprocessed %llu records in %.2f s\n",
                      static_cast<unsigned long long>(pre.records),
@@ -334,15 +326,7 @@ int main(int argc, char** argv) {
         // Overlap semantics need interval ends — the start-keyed BAIX v1
         // cannot answer them, so build the v2 index and convert through it.
         const std::string baix2 = out + "/input.baix2";
-        if (mpi::launched()) {
-          mpi::run(options.ranks, [&](mpi::Comm& comm) {
-            if (comm.rank() == 0) {
-              core::build_baix2(bamx, baix2);
-            }
-          });
-        } else {
-          core::build_baix2(bamx, baix2);
-        }
+        on_rank0([&] { core::build_baix2(bamx, baix2); });
         stats = core::convert_bamx_filtered(bamx, baix2, out, options,
                                             *region,
                                             baix2::RegionMode::kOverlap);
@@ -357,18 +341,22 @@ int main(int argc, char** argv) {
                              " BAM input for partial conversion\n");
         return 2;
       }
-      const int m = mpi::launched()
-                        ? options.ranks
-                        : resolve_width("m", args.get_int("m", options.ranks),
-                                        auto_width);
-      auto pre = core::preprocess_sam_parallel(in, out + "/shards", m);
+      const int m =
+          resolve_width("m", args.get_int("m", options.ranks), auto_width);
+      const std::string manifest = out + "/shards/input.bamxm";
+      std::filesystem::create_directories(out + "/shards");
+      core::PreprocessStats pre;
+      on_rank0([&] {
+        pre = core::preprocess_sam_parallel(in, manifest,
+                                            out + "/shards/input.baix", m);
+      });
       if (primary) {
         std::fprintf(stderr,
                      "preprocessed %llu records (%d shards) in %.2f s\n",
                      static_cast<unsigned long long>(pre.records), m,
                      pre.seconds);
       }
-      stats = core::convert_bamx_shards(pre.bamx_paths, out, options);
+      stats = core::convert_bamx_shards(manifest, out, options);
     } else {
       // Direct SAM converter (III-A).
       if (!region_text.empty()) {

@@ -38,20 +38,20 @@ int main(int argc, char** argv) {
   std::printf("input BAM: %.1f MB, %llu records\n", file_size(bam_path) / 1e6,
               static_cast<unsigned long long>(2 * pairs));
 
-  // One-time preprocessing: BAM -> BAMX (fixed-stride records) + BAIX
-  // (position-sorted index). Sequential by necessity — BAM offers no way
-  // to find record boundaries without decoding (§III-B).
-  const std::string bamx_path = workspace.file("cohort.bamx");
+  // One-time preprocessing: BAM -> BAMX shards (fixed-stride records) +
+  // BAIX (position-sorted index). Record framing is sequential by
+  // necessity — BAM offers no way to find record boundaries without
+  // decoding (§III-B) — but decoding and encoding run in parallel.
+  const std::string bamx_path = workspace.file("cohort.bamxm");
   const std::string baix_path = workspace.file("cohort.baix");
-  auto pre = core::preprocess_bam(bam_path, bamx_path, baix_path);
-  std::printf("preprocessed once in %.2f s -> BAMX %.1f MB + BAIX %.1f MB\n",
-              pre.seconds, file_size(bamx_path) / 1e6,
-              file_size(baix_path) / 1e6);
+  auto pre = core::preprocess_bam_parallel(bam_path, bamx_path, baix_path);
+  std::printf("preprocessed once in %.2f s -> BAMX shards + BAIX %.1f MB\n",
+              pre.seconds, pre.bytes_out / 1e6);
 
   // Region requests are now cheap. Convert the requested window to SAM
   // and to BED, in parallel, touching only matching records.
-  bamx::BamxReader probe(bamx_path);
-  core::Region region = core::parse_region(region_text, probe.header());
+  auto probe = bamx::open_record_source(bamx_path);
+  core::Region region = core::parse_region(region_text, probe->header());
   std::printf("\nregion %s -> [%d, %d) on ref %d\n", region_text.c_str(),
               region.begin, region.end, region.ref_id);
 

@@ -137,13 +137,49 @@ class LineRangeReader {
   size_t pos_ = 0;
 };
 
+/// Parses every alignment line of `range`, handing each record to `emit`;
+/// header and blank lines are skipped. The record object is reused across
+/// lines, so `emit` may keep its capacity or move it out.
+template <class Emit>
+void for_each_sam_record(const InputFile& file, ByteRange range,
+                         size_t buffer_bytes, const SamHeader& header,
+                         Emit&& emit) {
+  LineRangeReader lines(file, range, buffer_bytes);
+  AlignmentRecord rec;
+  std::string_view line;
+  while (lines.next(line)) {
+    if (line.empty() || line[0] == '@') {
+      continue;  // stray header line or blank
+    }
+    sam::parse_record(line, header, rec);
+    emit(rec);
+  }
+}
+
+/// Algorithm-1 forward sub-chunks of `range` of about `target_bytes` each,
+/// empty ones dropped.
+std::vector<ByteRange> sam_chunks(const InputFile& file, ByteRange range,
+                                  uint64_t target_bytes) {
+  std::vector<ByteRange> chunks;
+  if (range.size() == 0) {
+    return chunks;
+  }
+  const int k = static_cast<int>(std::clamp<uint64_t>(
+      range.size() / std::max<uint64_t>(target_bytes, 1), 1, 1 << 14));
+  for (const ByteRange& sub : partition_sam_forward(file, range, k)) {
+    if (sub.size() != 0) {
+      chunks.push_back(sub);
+    }
+  }
+  return chunks;
+}
+
 std::string part_path(const std::string& out_dir, int rank,
                       TargetFormat format) {
   return out_dir + "/part-" + std::to_string(rank) +
          std::string(target_extension(format));
 }
 
-/// Reads the SAM header and the offset where alignment lines begin.
 // Converter observability (docs/OBSERVABILITY.md, layer "convert").
 // Stage wall time comes from obs::StageScope (registered only when the
 // stage actually runs); these record the merged record/byte totals, once
@@ -167,19 +203,56 @@ void record_preprocess_stats(const PreprocessStats& stats) {
   obs::counter("convert.preprocess.bytes_out").add(stats.bytes_out);
 }
 
+/// Reads the SAM header and the offset where alignment lines begin.
 std::pair<SamHeader, uint64_t> read_sam_header(const std::string& path) {
   sam::SamFileReader reader(path);
   return {reader.header(), reader.alignment_start_offset()};
 }
 
-ConvertStats merge_stats(const std::vector<LocalStats>& locals) {
-  ConvertStats stats;
-  for (const LocalStats& l : locals) {
-    stats.records_in += l.records_in;
-    stats.records_out += l.records_out;
-    stats.bytes_in += l.bytes_in;
-    stats.bytes_out += l.bytes_out;
+/// One part file being written, with its running totals.
+struct Part {
+  std::unique_ptr<TargetWriter> writer;
+  LocalStats stats;
+
+  void write(const AlignmentRecord& rec) {
+    ++stats.records_in;
+    if (writer->write(rec)) {
+      ++stats.records_out;
+    }
   }
+
+  void close() {
+    writer->close();
+    stats.bytes_out = writer->bytes_written();
+  }
+};
+
+Part open_part(const std::string& out_dir, int part,
+               const ConvertOptions& options, const SamHeader& header) {
+  return Part{make_target_writer(options.format,
+                                 part_path(out_dir, part, options.format),
+                                 header, options.include_header),
+              {}};
+}
+
+/// Merges the per-part totals of a finished conversion. Part paths are a
+/// pure function of the part index, so they need no communication even
+/// when the ranks are separate processes.
+ConvertStats finish_conversion(const std::vector<LocalStats>& locals,
+                               const std::string& out_dir,
+                               const ConvertOptions& options,
+                               const WallTimer& timer) {
+  ConvertStats stats;
+  for (size_t p = 0; p < locals.size(); ++p) {
+    stats.records_in += locals[p].records_in;
+    stats.records_out += locals[p].records_out;
+    stats.bytes_in += locals[p].bytes_in;
+    stats.bytes_out += locals[p].bytes_out;
+    stats.outputs.push_back(
+        part_path(out_dir, static_cast<int>(p), options.format));
+  }
+  stats.seconds = timer.seconds();
+  record_convert_stats(stats);
   return stats;
 }
 
@@ -210,10 +283,31 @@ void check_schedule_not_launched() {
   }
 }
 
-// ------------------------------------------------- dynamic scheduling core
+// ------------------------------------------------------------- the drivers
+//
+// Every conversion runs on one of two drivers. Both write the same N part
+// files from the same per-part input ranges, so their output is
+// byte-identical; only the execution schedule differs.
+
+/// The static schedule (the paper's): one mpi rank per part file. `fill`
+/// writes the rank's whole part and sets its bytes_in; ranks coordinate
+/// only inside `fill` (Algorithm 1's boundary exchange for SAM).
+ConvertStats run_static(const std::string& out_dir,
+                        const ConvertOptions& options, const SamHeader& header,
+                        const std::function<void(mpi::Comm&, Part&)>& fill) {
+  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
+  WallTimer timer;
+  mpi::run(options.ranks, [&](mpi::Comm& comm) {
+    Part part = open_part(out_dir, comm.rank(), options, header);
+    fill(comm, part);
+    part.close();
+    publish_locals(comm, part.stats, locals);
+  });
+  return finish_conversion(locals, out_dir, options, timer);
+}
 
 /// One unit of dynamically-scheduled work: a slice of part `part`'s input,
-/// as a byte range (SAM) or record/entry index range (BAMX/BAIX).
+/// as a byte range (SAM) or a plan-entry range (BAMX).
 struct Chunk {
   int part = 0;
   uint64_t begin = 0;
@@ -226,47 +320,39 @@ struct ChunkResult {
   uint64_t bytes_in = 0;
 };
 
-/// Runs `chunks` (listed in global record order, grouped by part) through
-/// an exec::Pool ordered pipeline: `parse` runs on the pool with dynamic
-/// chunk claiming, the commit stage feeds each part's records — strictly
-/// in chunk order — into that part's TargetWriter. Because the part record
-/// ranges equal the static schedule's, the part files come out
-/// byte-identical to static mode; only the execution schedule differs.
-ConvertStats run_dynamic_chunks(
-    const std::vector<Chunk>& chunks, int n_parts,
-    const std::string& out_dir, const ConvertOptions& options,
-    const SamHeader& header,
+/// The dynamic schedule: runs `chunks` (in global record order, grouped by
+/// part) through an exec::Pool ordered pipeline. `parse` runs on the pool
+/// with dynamic chunk claiming; the commit stage feeds each part's records,
+/// strictly in chunk order, into that part's writer.
+ConvertStats run_dynamic(
+    const std::vector<Chunk>& chunks, const std::string& out_dir,
+    const ConvertOptions& options, const SamHeader& header,
     const std::function<ChunkResult(const Chunk&)>& parse) {
+  check_schedule_not_launched();
+  WallTimer timer;
   const int pool_threads =
       options.threads > 0 ? options.threads : options.ranks;
   exec::Pool pool(pool_threads);
 
-  std::vector<LocalStats> locals(static_cast<size_t>(n_parts));
-  std::vector<std::string> outputs(static_cast<size_t>(n_parts));
-  std::vector<bool> opened(static_cast<size_t>(n_parts), false);
-
-  int current_part = -1;
-  std::unique_ptr<TargetWriter> writer;
-  auto open_part = [&](int part) {
-    const std::string out_path = part_path(out_dir, part, options.format);
-    outputs[static_cast<size_t>(part)] = out_path;
-    opened[static_cast<size_t>(part)] = true;
-    return make_target_writer(options.format, out_path, header,
-                              options.include_header);
-  };
-  auto close_part = [&] {
-    if (writer != nullptr) {
-      writer->close();
-      locals[static_cast<size_t>(current_part)].bytes_out =
-          writer->bytes_written();
-      writer.reset();
+  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
+  Part part;
+  int current = -1;
+  // Makes `target` the open part. Parts skipped on the way hold no chunks;
+  // they still get their (possibly header-only) part file, exactly as a
+  // static rank would produce.
+  auto advance_to = [&](int target) {
+    while (current < target) {
+      if (current >= 0) {
+        part.close();
+        locals[static_cast<size_t>(current)] = part.stats;
+      }
+      part = open_part(out_dir, ++current, options, header);
     }
   };
 
   size_t cursor = 0;
   exec::PipelineOptions popt;
   popt.workers = pool_threads;
-
   exec::ordered_pipeline<Chunk, ChunkResult>(
       pool,
       [&](Chunk& chunk) {
@@ -279,243 +365,100 @@ ConvertStats run_dynamic_chunks(
       [&](Chunk&& chunk, uint64_t) { return parse(chunk); },
       [&](ChunkResult&& result, uint64_t ticket) {
         // Tickets are issued in source order, so ticket == chunk index.
-        const Chunk& chunk = chunks[static_cast<size_t>(ticket)];
-        if (chunk.part != current_part) {
-          close_part();
-          current_part = chunk.part;
-          writer = open_part(chunk.part);
-        }
-        LocalStats& local = locals[static_cast<size_t>(chunk.part)];
-        local.bytes_in += result.bytes_in;
+        advance_to(chunks[static_cast<size_t>(ticket)].part);
+        part.stats.bytes_in += result.bytes_in;
         for (const AlignmentRecord& rec : result.records) {
-          ++local.records_in;
-          if (writer->write(rec)) {
-            ++local.records_out;
-          }
+          part.write(rec);
         }
       },
       popt);
-  close_part();
-
-  // Parts whose range held no chunks still get their (possibly
-  // header-only) part file, exactly as a static rank would produce.
-  for (int p = 0; p < n_parts; ++p) {
-    if (!opened[static_cast<size_t>(p)]) {
-      auto empty_writer = open_part(p);
-      empty_writer->close();
-      locals[static_cast<size_t>(p)].bytes_out =
-          empty_writer->bytes_written();
-    }
-  }
-
-  ConvertStats stats = merge_stats(locals);
-  stats.outputs = std::move(outputs);
-  return stats;
+  advance_to(options.ranks - 1);
+  part.close();
+  locals.back() = part.stats;
+  return finish_conversion(locals, out_dir, options, timer);
 }
 
-/// Splits each part's record-index range into batches of `batch` records.
-std::vector<Chunk> record_chunks(
-    const std::vector<std::pair<uint64_t, uint64_t>>& ranges,
-    uint64_t batch) {
-  std::vector<Chunk> chunks;
-  for (size_t p = 0; p < ranges.size(); ++p) {
-    auto [begin, end] = ranges[p];
-    for (uint64_t at = begin; at < end; at += batch) {
-      chunks.push_back(Chunk{static_cast<int>(p), at,
-                             std::min<uint64_t>(end, at + batch)});
-    }
-  }
-  return chunks;
-}
+// ------------------------------------------------ the BAMX conversion executor
 
-}  // namespace
-
-// ------------------------------------------------------- 1. SAM converter
-
-ConvertStats convert_sam(const std::string& sam_path,
-                         const std::string& out_dir,
-                         const ConvertOptions& options) {
-  NGSX_CHECK_MSG(options.ranks >= 1, "ranks must be >= 1");
-  obs::StageScope stage("convert.stage.convert", "convert", "convert");
-  fs::create_directories(out_dir);
-  auto [header, body_offset] = read_sam_header(sam_path);
-  const uint64_t file_size = ngsx::file_size(sam_path);
-  const ByteRange body{body_offset, file_size};
-
+/// Converts a plan: `plan` lists the record indices to emit, in order (a
+/// region plan), or is null for every record of the session's source. Each
+/// of the `options.ranks` parts gets an even share of the plan, which
+/// either driver fetches through the session, formats and writes.
+ConvertStats execute_plan(const ConversionSession& session,
+                          const std::vector<uint64_t>* plan,
+                          const std::string& out_dir,
+                          const ConvertOptions& options) {
+  const uint64_t size =
+      plan != nullptr ? plan->size() : session.num_records();
+  const uint64_t stride = session.stride();
+  const auto shares = split_records(size, options.ranks);
   if (options.schedule == Schedule::kDynamic) {
-    // Dynamic schedule: same part ranges as the static schedule (so part
-    // files are byte-identical), but each part is subdivided into
-    // Algorithm-1 byte chunks claimed dynamically from the pool.
-    check_schedule_not_launched();
-    WallTimer timer;
-    InputFile file(sam_path);
-    auto ranges = partition_sam_forward(file, body, options.ranks);
+    const uint64_t batch = std::max<uint64_t>(options.record_batch, 1);
     std::vector<Chunk> chunks;
-    for (size_t p = 0; p < ranges.size(); ++p) {
-      const ByteRange range = ranges[p];
-      if (range.size() == 0) {
-        continue;
-      }
-      const uint64_t target = std::max<uint64_t>(options.chunk_bytes, 1);
-      const int k = static_cast<int>(
-          std::clamp<uint64_t>(range.size() / target, 1, 1 << 14));
-      for (const ByteRange& sub : partition_sam_forward(file, range, k)) {
-        if (sub.size() != 0) {
-          chunks.push_back(Chunk{static_cast<int>(p), sub.begin, sub.end});
-        }
+    for (size_t p = 0; p < shares.size(); ++p) {
+      const auto [begin, end] = shares[p];
+      for (uint64_t at = begin; at < end; at += batch) {
+        chunks.push_back(
+            Chunk{static_cast<int>(p), at, std::min(end, at + batch)});
       }
     }
-    ConvertStats stats = run_dynamic_chunks(
-        chunks, options.ranks, out_dir, options, header,
-        [&](const Chunk& chunk) {
-          ChunkResult out;
-          out.bytes_in = chunk.end - chunk.begin;
-          LineRangeReader lines(file, ByteRange{chunk.begin, chunk.end},
-                                options.read_buffer_bytes);
-          std::string_view line;
-          while (lines.next(line)) {
-            if (line.empty() || line[0] == '@') {
-              continue;
-            }
-            out.records.emplace_back();
-            sam::parse_record(line, header, out.records.back());
-          }
-          return out;
-        });
-    stats.seconds = timer.seconds();
-    record_convert_stats(stats);
-    return stats;
+    return run_dynamic(chunks, out_dir, options, session.header(),
+                       [&](const Chunk& chunk) {
+                         ChunkResult out;
+                         out.bytes_in = (chunk.end - chunk.begin) * stride;
+                         session.fetch(plan, chunk.begin, chunk.end, batch,
+                                       [&](AlignmentRecord& rec) {
+                                         out.records.push_back(std::move(rec));
+                                       });
+                         return out;
+                       });
   }
-
-  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
-  std::vector<std::string> outputs(static_cast<size_t>(options.ranks));
-  for (int r = 0; r < options.ranks; ++r) {
-    // Part paths are a pure function of the rank, so they need no
-    // communication even when the ranks are separate processes.
-    outputs[static_cast<size_t>(r)] = part_path(out_dir, r, options.format);
-  }
-
-  WallTimer timer;
-  mpi::run(options.ranks, [&](mpi::Comm& comm) {
-    const int rank = comm.rank();
-    InputFile file(sam_path);  // each rank opens the input independently
-    ByteRange range = partition_sam_distributed(file, body, comm);
-
-    const std::string out_path = part_path(out_dir, rank, options.format);
-    auto writer = make_target_writer(options.format, out_path, header,
-                                     options.include_header);
-
-    LocalStats local;
-    local.bytes_in = range.size();
-
-    LineRangeReader lines(file, range, options.read_buffer_bytes);
-    AlignmentRecord rec;
-    std::string_view line;
-    while (lines.next(line)) {
-      if (line.empty() || line[0] == '@') {
-        continue;  // stray header line or blank
-      }
-      sam::parse_record(line, header, rec);
-      ++local.records_in;
-      if (writer->write(rec)) {
-        ++local.records_out;
-      }
-    }
-    writer->close();
-    local.bytes_out = writer->bytes_written();
-    publish_locals(comm, local, locals);
-  });
-
-  ConvertStats stats = merge_stats(locals);
-  stats.seconds = timer.seconds();
-  stats.outputs = std::move(outputs);
-  record_convert_stats(stats);
-  return stats;
+  return run_static(
+      out_dir, options, session.header(), [&](mpi::Comm& comm, Part& part) {
+        const auto [begin, end] = shares[static_cast<size_t>(comm.rank())];
+        part.stats.bytes_in = (end - begin) * stride;
+        session.fetch(plan, begin, end, options.record_batch,
+                      [&](AlignmentRecord& rec) { part.write(rec); });
+      });
 }
 
-// ------------------------------------------------------- 2. BAM converter
+// ---------------------------------------------------------- the preprocessor
 
-PreprocessStats preprocess_bam(const std::string& bam_path,
-                               const std::string& bamx_path,
-                               const std::string& baix_path,
-                               int decode_threads) {
-  obs::StageScope stage("convert.stage.preprocess", "convert", "preprocess");
-  WallTimer timer;
+/// Target chunk size of the SAM preprocessing front-end.
+constexpr uint64_t kSamChunkBytes = 1 << 20;
+
+/// The one preprocessor: input -> `n_shards` BAMX shards + BAMXM manifest
+/// + merged BAIX. A format front-end supplies the per-input parts: `next`,
+/// the serial source framing the next raw chunk in input order (false at
+/// the end), and `decode`, which turns one raw chunk into records on a
+/// pipeline worker. The rest is shared:
+///   1. workers encode each chunk under a chunk-local layout, plus the
+///      chunk's sorted BAIX run; the ordered committer (ticket order ==
+///      input order) stages the blobs and merges the global layout;
+///   2. a parallel pass re-strides the staged records into the shards,
+///      while the per-chunk runs are pairwise merged on the pool;
+///   3. the manifest is published last.
+template <class Raw>
+PreprocessStats run_preprocessor(
+    const std::string& input_path, const SamHeader& header,
+    const std::string& manifest_path, const std::string& baix_path,
+    int threads, int n_shards, const WallTimer& timer,
+    const std::function<bool(Raw&)>& next,
+    const std::function<void(Raw&&, std::vector<AlignmentRecord>&)>& decode) {
   PreprocessStats stats;
-  stats.bytes_in = ngsx::file_size(bam_path);
-
-  // Pass 1 (measure): BAM offers no random access into records, so the
-  // stride-defining maxima require a full sequential decode pass.
-  bamx::BamxLayout layout;
-  {
-    obs::Span span("convert", "preprocess.measure");
-    bam::BamFileReader reader(bam_path, decode_threads);
-    AlignmentRecord rec;
-    while (reader.next(rec)) {
-      layout.accommodate(rec);
-    }
-  }
-
-  // Pass 2 (encode): write fixed-stride records and collect BAIX entries.
-  std::vector<bamx::BaixEntry> entries;
-  {
-    obs::Span span("convert", "preprocess.encode");
-    bam::BamFileReader reader(bam_path, decode_threads);
-    bamx::BamxWriter writer(bamx_path, reader.header(), layout);
-    AlignmentRecord rec;
-    uint64_t index = 0;
-    while (reader.next(rec)) {
-      writer.write(rec);
-      entries.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, index});
-      ++index;
-    }
-    writer.close();
-    stats.records = index;
-  }
-  {
-    obs::Span span("convert", "preprocess.index");
-    bamx::BaixIndex index = bamx::BaixIndex::from_entries(std::move(entries));
-    index.save(baix_path);
-  }
-
-  stats.bytes_out = ngsx::file_size(bamx_path) + ngsx::file_size(baix_path);
-  stats.bamx_paths = {bamx_path};
-  stats.baix_paths = {baix_path};
-  stats.seconds = timer.seconds();
-  record_preprocess_stats(stats);
-  return stats;
-}
-
-PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
-                                        const std::string& manifest_path,
-                                        const std::string& baix_path,
-                                        const PreprocessOptions& options) {
-  obs::StageScope stage("convert.stage.preprocess", "convert", "preprocess");
-  WallTimer timer;
-  PreprocessStats stats;
-  stats.bytes_in = ngsx::file_size(bam_path);
-
-  const int threads =
-      options.threads > 0 ? options.threads : exec::hardware_threads();
-  const int n_shards = options.shards > 0 ? options.shards : threads;
-  const uint64_t chunk_records =
-      std::max<uint64_t>(options.chunk_records, 1);
+  stats.bytes_in = ngsx::file_size(input_path);
   const std::string stem =
       strutil::ends_with(manifest_path, ".bamxm")
           ? manifest_path.substr(0, manifest_path.size() - 6)
           : manifest_path;
+  const fs::path stem_path(stem);
+  const std::string shard_dir = stem_path.has_parent_path()
+                                    ? stem_path.parent_path().string()
+                                    : std::string(".");
+  const std::string shard_stem = stem_path.filename().string();
 
-  exec::Pool pool(threads);
-  bam::BamFileReader reader(bam_path, options.decode_threads);
-  const SamHeader header = reader.header();
-
-  // One raw chunk = the framed (but undecoded) bodies of up to
-  // chunk_records BAM records; one encoded chunk = those records under a
-  // chunk-local layout, plus the chunk's sorted BAIX run.
-  struct RawChunk {
-    std::string bytes;
-    std::vector<uint32_t> sizes;
-  };
+  /// One encoded chunk: its records under a chunk-local layout, plus the
+  /// chunk's sorted BAIX run.
   struct EncodedChunk {
     bamx::BamxLayout layout;
     std::string blob;
@@ -530,16 +473,25 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
 
   // The staging file holds the local-layout chunk blobs between the
   // pipeline and the re-stride pass; it is scratch, never published, and
-  // removed on every exit path.
-  const std::string staging_path = manifest_path + ".segs.tmp";
-  struct StagingGuard {
-    std::string path;
-    ~StagingGuard() {
+  // removed on every exit path. `published` lists the final names
+  // committed so far (shards, then the BAIX): until the manifest is out, a
+  // failure removes them again, so an error publishes nothing.
+  struct Cleanup {
+    std::string staging;
+    std::vector<std::string> published;
+    ~Cleanup() {
       std::error_code ec;
-      fs::remove(path, ec);
+      fs::remove(staging, ec);
+      for (const std::string& path : published) {
+        if (!path.empty()) {
+          fs::remove(path, ec);
+        }
+      }
     }
-  } staging_guard{staging_path};
+  } cleanup{stem + ".segs.tmp",
+            std::vector<std::string>(static_cast<size_t>(n_shards) + 1)};
 
+  exec::Pool pool(threads);
   std::vector<Segment> segments;
   std::vector<std::vector<bamx::BaixEntry>> runs;
   bamx::BamxLayout global;
@@ -547,37 +499,27 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
   uint64_t staging_bytes = 0;
 
   // Stage 1 — the single pass: serial framing source, parallel
-  // parse+encode workers, ordered committer (ticket order == file order,
-  // so record bases and the staged byte order equal the sequential pass).
+  // decode+encode workers, ordered committer (ticket order == input order,
+  // so record bases and the staged byte order equal a sequential pass).
   {
     obs::Span span("convert", "preprocess.pipeline");
-    OutputFile staging(staging_path, 1 << 20, OutputFile::Commit::kDirect);
+    OutputFile staging(cleanup.staging, 1 << 20, OutputFile::Commit::kDirect);
     try {
       exec::PipelineOptions popt;
       popt.workers = threads;
-      exec::ordered_pipeline<RawChunk, EncodedChunk>(
+      exec::ordered_pipeline<Raw, EncodedChunk>(
           pool,
-          [&](RawChunk& chunk) {
+          [&](Raw& raw) {
             obs::Span frame_span("convert", "preprocess.frame");
-            std::string body;
-            while (chunk.sizes.size() < chunk_records &&
-                   reader.next_raw(body)) {
-              chunk.sizes.push_back(static_cast<uint32_t>(body.size()));
-              chunk.bytes += body;
-            }
-            return !chunk.sizes.empty();
+            return next(raw);
           },
-          [&](RawChunk&& chunk, uint64_t) {
+          [&](Raw&& raw, uint64_t) {
             obs::Span encode_span("convert", "preprocess.encode");
+            std::vector<AlignmentRecord> recs;
+            decode(std::move(raw), recs);
             EncodedChunk out;
-            std::vector<AlignmentRecord> recs(chunk.sizes.size());
-            size_t off = 0;
-            for (size_t k = 0; k < chunk.sizes.size(); ++k) {
-              bam::decode_record(
-                  std::string_view(chunk.bytes).substr(off, chunk.sizes[k]),
-                  recs[k]);
-              out.layout.accommodate(recs[k]);
-              off += chunk.sizes[k];
+            for (const AlignmentRecord& rec : recs) {
+              out.layout.accommodate(rec);
             }
             out.blob.reserve(recs.size() * out.layout.stride());
             out.entries.reserve(recs.size());
@@ -626,25 +568,21 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
     seg_bases[s + 1] = seg_bases[s] + segments[s].n_records;
   }
   auto shard_ranges = split_records(total_records, n_shards);
-  const fs::path stem_path(stem);
-  const std::string shard_dir = stem_path.has_parent_path()
-                                    ? stem_path.parent_path().string()
-                                    : std::string(".");
-  const std::string shard_stem = stem_path.filename().string();
   bamx::BamxManifest manifest;
   manifest.layout = global;
   manifest.n_records = total_records;
   manifest.shards.resize(static_cast<size_t>(n_shards));
   {
     obs::Span span("convert", "preprocess.restride");
-    InputFile staged(staging_path);
+    InputFile staged(cleanup.staging);
     exec::TaskGroup group(pool);
     for (int s = 0; s < n_shards; ++s) {
       group.spawn([&, s] {
         auto [lo, hi] = shard_ranges[static_cast<size_t>(s)];
         const std::string shard_name =
             shard_stem + "-shard-" + std::to_string(s) + ".bamx";
-        bamx::BamxWriter writer(shard_dir + "/" + shard_name, header, global);
+        const std::string shard_path = shard_dir + "/" + shard_name;
+        bamx::BamxWriter writer(shard_path, header, global);
         size_t seg = static_cast<size_t>(
             std::upper_bound(seg_bases.begin(), seg_bases.end() - 1, lo) -
             seg_bases.begin() - 1);
@@ -673,6 +611,7 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
           at += take;
         }
         writer.close();
+        cleanup.published[static_cast<size_t>(s)] = shard_path;
         manifest.shards[static_cast<size_t>(s)] =
             bamx::ManifestShard{shard_name, hi - lo, lo};
       });
@@ -687,7 +626,8 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
   {
     obs::Span span("convert", "preprocess.index");
     while (runs.size() > 1) {
-      std::vector<std::vector<bamx::BaixEntry>> next((runs.size() + 1) / 2);
+      std::vector<std::vector<bamx::BaixEntry>> merged_runs(
+          (runs.size() + 1) / 2);
       exec::TaskGroup group(pool);
       for (size_t i = 0; i + 1 < runs.size(); i += 2) {
         group.spawn([&, i] {
@@ -696,33 +636,125 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
           std::merge(runs[i].begin(), runs[i].end(), runs[i + 1].begin(),
                      runs[i + 1].end(), std::back_inserter(merged),
                      bamx::baix_entry_less);
-          next[i / 2] = std::move(merged);
+          merged_runs[i / 2] = std::move(merged);
         });
       }
       if (runs.size() % 2 != 0) {
-        next.back() = std::move(runs.back());
+        merged_runs.back() = std::move(runs.back());
       }
       group.wait();
-      runs = std::move(next);
+      runs = std::move(merged_runs);
     }
     std::vector<bamx::BaixEntry> entries =
         runs.empty() ? std::vector<bamx::BaixEntry>{} : std::move(runs[0]);
     bamx::BaixIndex::from_sorted_entries(std::move(entries)).save(baix_path);
+    cleanup.published.back() = baix_path;
   }
 
   // The manifest is published last: readers can never observe a manifest
   // whose shards are not all committed under their final names.
   manifest.save(manifest_path);
+  cleanup.published.clear();
 
   stats.bytes_out = ngsx::file_size(manifest_path) + ngsx::file_size(baix_path);
   for (const bamx::ManifestShard& s : manifest.shards) {
     stats.bytes_out += ngsx::file_size(shard_dir + "/" + s.path);
   }
-  stats.bamx_paths = {manifest_path};
-  stats.baix_paths = {baix_path};
   stats.seconds = timer.seconds();
   record_preprocess_stats(stats);
   return stats;
+}
+
+}  // namespace
+
+// ------------------------------------------------------- 1. SAM converter
+
+ConvertStats convert_sam(const std::string& sam_path,
+                         const std::string& out_dir,
+                         const ConvertOptions& options) {
+  NGSX_CHECK_MSG(options.ranks >= 1, "ranks must be >= 1");
+  obs::StageScope stage("convert.stage.convert", "convert", "convert");
+  fs::create_directories(out_dir);
+  auto [header, body_offset] = read_sam_header(sam_path);
+  const ByteRange body{body_offset, ngsx::file_size(sam_path)};
+
+  if (options.schedule == Schedule::kDynamic) {
+    // Same part ranges as the static schedule (so part files are
+    // byte-identical), each subdivided into Algorithm-1 byte chunks
+    // claimed dynamically from the pool.
+    InputFile file(sam_path);
+    const auto parts = partition_sam_forward(file, body, options.ranks);
+    std::vector<Chunk> chunks;
+    for (size_t p = 0; p < parts.size(); ++p) {
+      for (const ByteRange& sub :
+           sam_chunks(file, parts[p], options.chunk_bytes)) {
+        chunks.push_back(Chunk{static_cast<int>(p), sub.begin, sub.end});
+      }
+    }
+    return run_dynamic(
+        chunks, out_dir, options, header, [&](const Chunk& chunk) {
+          ChunkResult out;
+          out.bytes_in = chunk.end - chunk.begin;
+          for_each_sam_record(file, ByteRange{chunk.begin, chunk.end},
+                              options.read_buffer_bytes, header,
+                              [&](AlignmentRecord& rec) {
+                                out.records.push_back(std::move(rec));
+                              });
+          return out;
+        });
+  }
+
+  return run_static(
+      out_dir, options, header, [&](mpi::Comm& comm, Part& part) {
+        InputFile file(sam_path);  // each rank opens the input independently
+        const ByteRange range = partition_sam_distributed(file, body, comm);
+        part.stats.bytes_in = range.size();
+        for_each_sam_record(file, range, options.read_buffer_bytes, header,
+                            [&](AlignmentRecord& rec) { part.write(rec); });
+      });
+}
+
+// ------------------------------------------------------- 2. BAM converter
+
+PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
+                                        const std::string& manifest_path,
+                                        const std::string& baix_path,
+                                        const PreprocessOptions& options) {
+  obs::StageScope stage("convert.stage.preprocess", "convert", "preprocess");
+  WallTimer timer;
+  const int threads =
+      options.threads > 0 ? options.threads : exec::hardware_threads();
+  const size_t chunk_records = std::max<size_t>(options.chunk_records, 1);
+
+  // BAM front-end: record framing is the serial part (BAM offers no random
+  // access into records). One raw chunk is the framed but undecoded bodies
+  // of up to chunk_records records.
+  struct RawChunk {
+    std::string bytes;
+    std::vector<uint32_t> sizes;
+  };
+  bam::BamFileReader reader(bam_path, options.decode_threads);
+  return run_preprocessor<RawChunk>(
+      bam_path, reader.header(), manifest_path, baix_path, threads,
+      options.shards > 0 ? options.shards : threads, timer,
+      [&](RawChunk& chunk) {
+        std::string body;
+        while (chunk.sizes.size() < chunk_records && reader.next_raw(body)) {
+          chunk.sizes.push_back(static_cast<uint32_t>(body.size()));
+          chunk.bytes += body;
+        }
+        return !chunk.sizes.empty();
+      },
+      [](RawChunk&& chunk, std::vector<AlignmentRecord>& recs) {
+        recs.resize(chunk.sizes.size());
+        size_t off = 0;
+        for (size_t k = 0; k < recs.size(); ++k) {
+          bam::decode_record(
+              std::string_view(chunk.bytes).substr(off, chunk.sizes[k]),
+              recs[k]);
+          off += chunk.sizes[k];
+        }
+      });
 }
 
 ConvertStats convert_bamx(const std::string& bamx_path,
@@ -738,126 +770,14 @@ ConvertStats convert_bamx(const std::string& bamx_path,
   // shard manifest), lazily load the BAIX. One-shot here; ngsx_serve keeps
   // a session resident across requests.
   ConversionSession session(SessionOptions{bamx_path, baix_path, {}});
-  const bamx::RecordSource& probe = session.source();
-  const SamHeader header = session.header();
-  const uint64_t n_records = session.num_records();
-  const uint64_t stride = session.stride();
-
-  // Partial conversion: locate the region in the BAIX by binary search
-  // (paper §III-B); each rank then converts an equal share of the matching
-  // index entries.
-  size_t region_first = 0;
-  size_t region_last = 0;
-  if (region.has_value()) {
-    NGSX_CHECK_MSG(!baix_path.empty(),
-                   "partial conversion requires a BAIX index");
-    std::tie(region_first, region_last) =
-        session.baix().query(region->ref_id, region->begin, region->end);
+  if (!region.has_value()) {
+    return execute_plan(session, nullptr, out_dir, options);
   }
-
-  if (options.schedule == Schedule::kDynamic) {
-    // Dynamic schedule: the static record ranges are subdivided into
-    // record batches dispatched through the pool; `probe` is shared by the
-    // parse workers (its reads are positioned and const).
-    check_schedule_not_launched();
-    WallTimer timer;
-    std::vector<Chunk> chunks;
-    std::function<ChunkResult(const Chunk&)> parse;
-    if (!region.has_value()) {
-      chunks = record_chunks(split_records(n_records, options.ranks),
-                             options.record_batch);
-      parse = [&](const Chunk& chunk) {
-        ChunkResult out;
-        probe.read_range(chunk.begin, chunk.end, out.records);
-        out.bytes_in = (chunk.end - chunk.begin) * stride;
-        return out;
-      };
-    } else {
-      chunks = record_chunks(
-          split_records(region_last - region_first, options.ranks),
-          options.record_batch);
-      parse = [&](const Chunk& chunk) {
-        ChunkResult out;
-        out.bytes_in = (chunk.end - chunk.begin) * stride;
-        for (uint64_t e = chunk.begin; e < chunk.end; ++e) {
-          const bamx::BaixEntry& entry =
-              session.baix().entry(region_first + static_cast<size_t>(e));
-          out.records.emplace_back();
-          probe.read(entry.record_index, out.records.back());
-        }
-        return out;
-      };
-    }
-    ConvertStats stats = run_dynamic_chunks(chunks, options.ranks, out_dir,
-                                            options, header, parse);
-    stats.seconds = timer.seconds();
-    record_convert_stats(stats);
-    return stats;
-  }
-
-  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
-  std::vector<std::string> outputs(static_cast<size_t>(options.ranks));
-  for (int r = 0; r < options.ranks; ++r) {
-    outputs[static_cast<size_t>(r)] = part_path(out_dir, r, options.format);
-  }
-
-  WallTimer timer;
-  mpi::run(options.ranks, [&](mpi::Comm& comm) {
-    const int rank = comm.rank();
-    auto reader_ptr = bamx::open_record_source(bamx_path);
-    const bamx::RecordSource& reader = *reader_ptr;
-    const std::string out_path = part_path(out_dir, rank, options.format);
-    auto writer = make_target_writer(options.format, out_path, header,
-                                     options.include_header);
-    LocalStats local;
-
-    if (!region.has_value()) {
-      // Full conversion: even record-range split (exact thanks to the
-      // fixed stride), bulk fetches of record_batch records at a time.
-      auto ranges = split_records(n_records, comm.size());
-      auto [begin, end] = ranges[static_cast<size_t>(rank)];
-      std::vector<AlignmentRecord> batch;
-      for (uint64_t at = begin; at < end;) {
-        uint64_t take = std::min<uint64_t>(options.record_batch, end - at);
-        batch.clear();
-        reader.read_range(at, at + take, batch);
-        for (const AlignmentRecord& rec : batch) {
-          ++local.records_in;
-          if (writer->write(rec)) {
-            ++local.records_out;
-          }
-        }
-        at += take;
-        local.bytes_in += take * stride;
-      }
-    } else {
-      // Partial conversion: equal share of BAIX entries, random access per
-      // record (entries point anywhere in the BAMX).
-      auto ranges =
-          split_records(region_last - region_first, comm.size());
-      auto [begin, end] = ranges[static_cast<size_t>(rank)];
-      AlignmentRecord rec;
-      for (uint64_t e = begin; e < end; ++e) {
-        const bamx::BaixEntry& entry =
-            session.baix().entry(region_first + static_cast<size_t>(e));
-        reader.read(entry.record_index, rec);
-        ++local.records_in;
-        local.bytes_in += stride;
-        if (writer->write(rec)) {
-          ++local.records_out;
-        }
-      }
-    }
-    writer->close();
-    local.bytes_out = writer->bytes_written();
-    publish_locals(comm, local, locals);
-  });
-
-  ConvertStats stats = merge_stats(locals);
-  stats.seconds = timer.seconds();
-  stats.outputs = std::move(outputs);
-  record_convert_stats(stats);
-  return stats;
+  // Partial conversion: the region's records in BAIX order, located by
+  // binary search (paper §III-B).
+  const std::vector<uint64_t> plan =
+      session.plan(*region, baix2::RegionMode::kStartWithin);
+  return execute_plan(session, &plan, out_dir, options);
 }
 
 void build_baix2(const std::string& bamx_path,
@@ -878,73 +798,11 @@ ConvertStats convert_bamx_filtered(const std::string& bamx_path,
   obs::StageScope stage("convert.stage.convert", "convert", "convert");
   fs::create_directories(out_dir);
 
+  // The matching record set is resolved on the index alone; its indices
+  // ascend, so each part's share stays I/O-local.
   ConversionSession session(SessionOptions{bamx_path, {}, baix2_path});
-  const bamx::RecordSource& probe = session.source();
-  const SamHeader header = session.header();
-  const uint64_t stride = session.stride();
-
-  // Resolve the matching record set on the index alone, then hand each
-  // rank an equal share (indices are ascending, so shares stay I/O-local).
-  std::vector<uint64_t> matches = session.plan(region, mode, filter);
-
-  if (options.schedule == Schedule::kDynamic) {
-    check_schedule_not_launched();
-    WallTimer timer;
-    std::vector<Chunk> chunks = record_chunks(
-        split_records(matches.size(), options.ranks), options.record_batch);
-    ConvertStats stats = run_dynamic_chunks(
-        chunks, options.ranks, out_dir, options, header,
-        [&](const Chunk& chunk) {
-          ChunkResult out;
-          out.bytes_in = (chunk.end - chunk.begin) * stride;
-          for (uint64_t k = chunk.begin; k < chunk.end; ++k) {
-            out.records.emplace_back();
-            probe.read(matches[static_cast<size_t>(k)], out.records.back());
-          }
-          return out;
-        });
-    stats.seconds = timer.seconds();
-    record_convert_stats(stats);
-    return stats;
-  }
-
-  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
-  std::vector<std::string> outputs(static_cast<size_t>(options.ranks));
-  for (int r = 0; r < options.ranks; ++r) {
-    outputs[static_cast<size_t>(r)] = part_path(out_dir, r, options.format);
-  }
-
-  WallTimer timer;
-  mpi::run(options.ranks, [&](mpi::Comm& comm) {
-    const int rank = comm.rank();
-    auto reader_ptr = bamx::open_record_source(bamx_path);
-    const bamx::RecordSource& reader = *reader_ptr;
-    const std::string out_path = part_path(out_dir, rank, options.format);
-    auto writer = make_target_writer(options.format, out_path, header,
-                                     options.include_header);
-    LocalStats local;
-
-    auto shares = split_records(matches.size(), comm.size());
-    auto [begin, end] = shares[static_cast<size_t>(rank)];
-    AlignmentRecord rec;
-    for (uint64_t k = begin; k < end; ++k) {
-      reader.read(matches[static_cast<size_t>(k)], rec);
-      ++local.records_in;
-      local.bytes_in += stride;
-      if (writer->write(rec)) {
-        ++local.records_out;
-      }
-    }
-    writer->close();
-    local.bytes_out = writer->bytes_written();
-    publish_locals(comm, local, locals);
-  });
-
-  ConvertStats stats = merge_stats(locals);
-  stats.seconds = timer.seconds();
-  stats.outputs = std::move(outputs);
-  record_convert_stats(stats);
-  return stats;
+  const std::vector<uint64_t> plan = session.plan(region, mode, filter);
+  return execute_plan(session, &plan, out_dir, options);
 }
 
 ConvertStats convert_bam_sequential(const std::string& bam_path,
@@ -976,99 +834,50 @@ ConvertStats convert_bam_sequential(const std::string& bam_path,
 // ------------------------------------- 3. preprocessing-optimized SAM
 
 PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
-                                        const std::string& out_dir,
-                                        int m_ranks) {
-  NGSX_CHECK_MSG(m_ranks >= 1, "ranks must be >= 1");
+                                        const std::string& manifest_path,
+                                        const std::string& baix_path, int m) {
+  NGSX_CHECK_MSG(m >= 1, "m must be >= 1");
   obs::StageScope stage("convert.stage.preprocess", "convert", "preprocess");
-  fs::create_directories(out_dir);
-  auto [header, body_offset] = read_sam_header(sam_path);
-  const uint64_t file_size = ngsx::file_size(sam_path);
-  const ByteRange body{body_offset, file_size};
-
-  std::vector<LocalStats> locals(static_cast<size_t>(m_ranks));
-  std::vector<std::string> bamx_paths(static_cast<size_t>(m_ranks));
-  std::vector<std::string> baix_paths(static_cast<size_t>(m_ranks));
-  for (int r = 0; r < m_ranks; ++r) {
-    bamx_paths[static_cast<size_t>(r)] =
-        out_dir + "/shard-" + std::to_string(r) + ".bamx";
-    baix_paths[static_cast<size_t>(r)] =
-        out_dir + "/shard-" + std::to_string(r) + ".baix";
-  }
-
   WallTimer timer;
-  mpi::run(m_ranks, [&](mpi::Comm& comm) {
-    const int rank = comm.rank();
-    InputFile file(sam_path);
-    ByteRange range = partition_sam_distributed(file, body, comm);
-    LocalStats local;
-    local.bytes_in = range.size();
+  auto [header, body_offset] = read_sam_header(sam_path);
 
-    // Pass 1 (measure): parse the partition to size the shard's layout.
-    bamx::BamxLayout layout;
-    {
-      LineRangeReader lines(file, range, 4 << 20);
-      AlignmentRecord rec;
-      std::string_view line;
-      while (lines.next(line)) {
-        if (line.empty() || line[0] == '@') {
-          continue;
+  // SAM front-end: Algorithm 1 cuts the alignment body into line-aligned
+  // chunks up front; the workers read and parse them.
+  const InputFile file(sam_path);
+  const std::vector<ByteRange> chunks =
+      sam_chunks(file, ByteRange{body_offset, ngsx::file_size(sam_path)},
+                 kSamChunkBytes);
+  size_t cursor = 0;
+  return run_preprocessor<ByteRange>(
+      sam_path, header, manifest_path, baix_path, m, m, timer,
+      [&](ByteRange& chunk) {
+        if (cursor >= chunks.size()) {
+          return false;
         }
-        sam::parse_record(line, header, rec);
-        layout.accommodate(rec);
-      }
-    }
-
-    // Pass 2 (encode): write this rank's BAMX shard and its BAIX.
-    const std::string bamx_path = bamx_paths[static_cast<size_t>(rank)];
-    const std::string baix_path = baix_paths[static_cast<size_t>(rank)];
-    {
-      bamx::BamxWriter writer(bamx_path, header, layout);
-      std::vector<bamx::BaixEntry> entries;
-      LineRangeReader lines(file, range, 4 << 20);
-      AlignmentRecord rec;
-      std::string_view line;
-      uint64_t index = 0;
-      while (lines.next(line)) {
-        if (line.empty() || line[0] == '@') {
-          continue;
-        }
-        sam::parse_record(line, header, rec);
-        writer.write(rec);
-        entries.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, index});
-        ++index;
-      }
-      writer.close();
-      local.records_in = index;
-      bamx::BaixIndex::from_entries(std::move(entries)).save(baix_path);
-    }
-    local.bytes_out =
-        ngsx::file_size(bamx_path) + ngsx::file_size(baix_path);
-    publish_locals(comm, local, locals);
-  });
-
-  PreprocessStats stats;
-  for (const LocalStats& l : locals) {
-    stats.records += l.records_in;
-    stats.bytes_in += l.bytes_in;
-    stats.bytes_out += l.bytes_out;
-  }
-  stats.bamx_paths = std::move(bamx_paths);
-  stats.baix_paths = std::move(baix_paths);
-  stats.seconds = timer.seconds();
-  record_preprocess_stats(stats);
-  return stats;
+        chunk = chunks[cursor++];
+        return true;
+      },
+      [&](ByteRange&& chunk, std::vector<AlignmentRecord>& recs) {
+        for_each_sam_record(file, chunk, kSamChunkBytes, header,
+                            [&](AlignmentRecord& rec) {
+                              recs.push_back(std::move(rec));
+                            });
+      });
 }
 
-ConvertStats convert_bamx_shards(const std::vector<std::string>& bamx_paths,
+ConvertStats convert_bamx_shards(const std::string& manifest_path,
                                  const std::string& out_dir,
                                  const ConvertOptions& options) {
+  const bamx::BamxManifest manifest = bamx::BamxManifest::load(manifest_path);
+  const fs::path dir = fs::path(manifest_path).parent_path();
   fs::create_directories(out_dir);
   ConvertStats total;
   WallTimer timer;
-  for (size_t m = 0; m < bamx_paths.size(); ++m) {
-    const std::string shard_dir = out_dir + "/shard-" + std::to_string(m);
-    ConvertStats s =
-        convert_bamx(bamx_paths[m], /*baix_path=*/"", shard_dir, options);
+  for (size_t m = 0; m < manifest.shards.size(); ++m) {
+    ConvertStats s = convert_bamx((dir / manifest.shards[m].path).string(),
+                                  /*baix_path=*/"",
+                                  out_dir + "/shard-" + std::to_string(m),
+                                  options);
     total.records_in += s.records_in;
     total.records_out += s.records_out;
     total.bytes_in += s.bytes_in;

@@ -5,22 +5,25 @@
 //   1. SAM format converter           — Algorithm-1 byte partitioning, then
 //                                       independent parse + convert + write
 //                                       per rank (Figure 2).
-//   2. BAM format converter           — sequential preprocessing into
-//                                       BAMX + BAIX, then parallel
-//                                       conversion by record-range
-//                                       partitioning (Figure 3); supports
-//                                       *partial conversion* of a genomic
-//                                       region via BAIX binary search.
+//   2. BAM format converter           — preprocessing into BAMX shards +
+//                                       BAIX, then parallel conversion by
+//                                       record-range partitioning
+//                                       (Figure 3); supports *partial
+//                                       conversion* of a genomic region via
+//                                       BAIX binary search.
 //   3. Preprocessing-optimized SAM
-//      format converter               — Algorithm 1 parallelizes the
-//                                       preprocessing itself, producing M
-//                                       BAMX/BAIX shards that the parallel
+//      format converter               — the same preprocessing fed by
+//                                       Algorithm-1 chunks of the SAM text,
+//                                       producing M BAMX shards that the
 //                                       conversion phase then consumes
 //                                       (Figure 5; M x N output files).
 //
-// Ranks execute as minimpi ranks (threads standing in for MPI processes);
-// each rank opens the input independently and writes its own part file,
-// mirroring the paper's "no communication after partitioning" property.
+// Both preprocessors are one pipeline behind a per-format front-end, and
+// every BAMX conversion is a plan (every record, or a region's record
+// list) run by one executor. Conversions run on one of two drivers: static
+// minimpi ranks (threads standing in for MPI processes), each writing its
+// own part file with no communication after partitioning — the paper's
+// scheme — or dynamic chunks on an exec::Pool, with byte-identical output.
 
 #pragma once
 
@@ -93,10 +96,8 @@ struct ConvertStats {
 struct PreprocessStats {
   uint64_t records = 0;
   uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
+  uint64_t bytes_out = 0;  // shards + manifest + BAIX
   double seconds = 0.0;
-  std::vector<std::string> bamx_paths;
-  std::vector<std::string> baix_paths;
 };
 
 // ---------------------------------------------------------------------------
@@ -114,18 +115,7 @@ ConvertStats convert_sam(const std::string& sam_path,
 // 2. BAM format converter (§III-B).
 // ---------------------------------------------------------------------------
 
-/// Sequential preprocessing: BAM -> BAMX + BAIX. Two passes over the BAM
-/// (measure, then encode) because the BAMX stride must be known up front;
-/// record *framing* is inherently sequential (the paper's §III-B
-/// observation), but block inflation is not: `decode_threads` BGZF
-/// workers (0 = auto, 1 = sequential) overlap decompression with the
-/// record scan in both passes.
-PreprocessStats preprocess_bam(const std::string& bam_path,
-                               const std::string& bamx_path,
-                               const std::string& baix_path,
-                               int decode_threads = 0);
-
-/// Options for the single-pass parallel BAM preprocessor.
+/// Options for the BAM preprocessor.
 struct PreprocessOptions {
   int threads = 0;         // parse+encode pipeline workers; 0 => hardware
   int decode_threads = 0;  // BGZF inflate workers; 0 => auto
@@ -136,19 +126,20 @@ struct PreprocessOptions {
 /// Single-pass parallel preprocessing: BAM -> M BAMX shards + BAMXM
 /// manifest + merged BAIX. Record framing stays serial (the §III-B
 /// constraint) but runs once, feeding an exec::ordered_pipeline whose
-/// workers parse and encode chunks under chunk-local layouts; the ordered
+/// workers decode and encode chunks under chunk-local layouts; the ordered
 /// committer stages the chunk blobs and merges the global layout, and a
 /// final parallel pass re-strides the staged records into M shards carrying
 /// the global layout while the per-chunk sorted BAIX runs are merged on the
-/// pool. The published BAMX record bytes and BAIX are bit-identical to the
-/// sequential two-pass preprocess_bam output (the shards concatenate to its
-/// data section), so conversion output is byte-identical too.
+/// pool. For any thread, shard and chunk count the shards concatenate to a
+/// direct encode of every record under the global layout, and the BAIX
+/// equals BaixIndex::from_entries over all records; `threads = 1` is the
+/// sequential baseline.
 ///
 /// Writes `manifest_path` (must end in ".bamxm"), shards named
-/// "<manifest stem>-shard-<k>.bamx" next to it, and `baix_path`. Shards
-/// are committed atomically and the manifest is written last, so a failure
-/// mid-preprocess never publishes a partial shard or a manifest pointing at
-/// one.
+/// "<manifest stem>-shard-<k>.bamx" next to it, and `baix_path`. The
+/// manifest is published last, and a failure removes the shards and BAIX
+/// already committed, so an error never publishes anything under a final
+/// name.
 PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
                                         const std::string& manifest_path,
                                         const std::string& baix_path,
@@ -192,17 +183,19 @@ ConvertStats convert_bam_sequential(const std::string& bam_path,
 // 3. Preprocessing-optimized SAM format converter (§III-C).
 // ---------------------------------------------------------------------------
 
-/// Parallel preprocessing: SAM is partitioned with Algorithm 1 across
-/// `m_ranks`, each rank converting its partition into its own BAMX + BAIX
-/// shard under `out_dir` ("shard-<rank>.bamx"/".baix").
+/// Parallel preprocessing of SAM: preprocess_bam_parallel's pipeline with
+/// a SAM front-end — the alignment body is cut into Algorithm-1 forward
+/// chunks that `m` workers parse — writing `m` shards behind the BAMXM
+/// manifest `manifest_path` plus one merged BAIX, named and committed as
+/// preprocess_bam_parallel does.
 PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
-                                        const std::string& out_dir,
-                                        int m_ranks);
+                                        const std::string& manifest_path,
+                                        const std::string& baix_path, int m);
 
-/// Conversion phase over the M shards: each shard is converted with
-/// `options.ranks` (N) ranks into its own subdirectory, producing the
-/// paper's M x N target files.
-ConvertStats convert_bamx_shards(const std::vector<std::string>& bamx_paths,
+/// Conversion phase over the M shards of `manifest_path`: each shard is
+/// converted with `options.ranks` (N) ranks into `<out_dir>/shard-<m>`,
+/// producing the paper's M x N target files.
+ConvertStats convert_bamx_shards(const std::string& manifest_path,
                                  const std::string& out_dir,
                                  const ConvertOptions& options);
 

@@ -1,5 +1,7 @@
 #include "core/session.h"
 
+#include <algorithm>
+
 namespace ngsx::core {
 
 using sam::AlignmentRecord;
@@ -57,6 +59,34 @@ std::vector<uint64_t> ConversionSession::plan(const Region& region,
   return indices;
 }
 
+void ConversionSession::fetch(
+    const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
+    size_t batch, const std::function<void(AlignmentRecord&)>& emit,
+    const RecordFetcher* fetcher) const {
+  if (plan == nullptr) {
+    const uint64_t step = std::max<uint64_t>(batch, 1);
+    std::vector<AlignmentRecord> records;
+    for (uint64_t at = begin; at < end; at += step) {
+      records.clear();
+      source_->read_range(at, std::min(end, at + step), records);
+      for (AlignmentRecord& rec : records) {
+        emit(rec);
+      }
+    }
+    return;
+  }
+  AlignmentRecord rec;
+  for (uint64_t k = begin; k < end; ++k) {
+    const uint64_t index = (*plan)[static_cast<size_t>(k)];
+    if (fetcher != nullptr) {
+      fetcher->fetch(index, rec);
+    } else {
+      source_->read(index, rec);
+    }
+    emit(rec);
+  }
+}
+
 ConversionSession::FormatResult ConversionSession::format_records(
     const std::vector<uint64_t>& indices, TargetFormat format,
     bool include_header, std::string& out,
@@ -64,18 +94,15 @@ ConversionSession::FormatResult ConversionSession::format_records(
   const size_t start = out.size();
   FormatResult result;
   out += target_prologue(format, header_, include_header);
-  AlignmentRecord rec;
-  for (uint64_t index : indices) {
-    if (fetcher != nullptr) {
-      fetcher->fetch(index, rec);
-    } else {
-      source_->read(index, rec);
-    }
-    ++result.records_in;
-    if (format_target_record(format, rec, header_, out)) {
-      ++result.records_out;
-    }
-  }
+  fetch(
+      &indices, 0, indices.size(), /*batch=*/0,
+      [&](AlignmentRecord& rec) {
+        ++result.records_in;
+        if (format_target_record(format, rec, header_, out)) {
+          ++result.records_out;
+        }
+      },
+      fetcher);
   result.bytes = out.size() - start;
   return result;
 }

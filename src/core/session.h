@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -90,6 +91,15 @@ class ConversionSession {
   /// serving layer coalesce overlapping requests.
   std::vector<uint64_t> plan(const Region& region, baix2::RegionMode mode,
                              const baix2::Filter& filter = {}) const;
+
+  /// The slice fetch every BAMX conversion runs: calls `emit` for plan
+  /// entries [begin, end), in order. `plan` is a record-index list, fetched
+  /// record by record through `fetcher` (default: the source), or null for
+  /// every record of the source, read in bulk batches of `batch` records.
+  void fetch(const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
+             size_t batch,
+             const std::function<void(sam::AlignmentRecord&)>& emit,
+             const RecordFetcher* fetcher = nullptr) const;
 
   struct FormatResult {
     uint64_t records_in = 0;   // records fetched

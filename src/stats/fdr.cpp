@@ -1,7 +1,5 @@
 #include "stats/fdr.h"
 
-#include <omp.h>
-
 #include <algorithm>
 
 #include "core/partition.h"
@@ -223,27 +221,6 @@ FdrResult fdr_parallel_two_pass(std::span<const double> histogram,
     }
   });
   return result;
-}
-
-FdrResult fdr_parallel_omp(std::span<const double> histogram,
-                           const SimulationSet& sims, int p_t, int threads) {
-  validate(histogram, sims);
-  NGSX_CHECK_MSG(threads >= 1, "threads must be >= 1");
-  auto parts = core::split_records(histogram.size(), threads);
-  int64_t sum_diamond = 0;
-  int64_t sum_star = 0;
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(+ : sum_diamond, sum_star)
-  for (int t = 0; t < threads; ++t) {
-    auto [lo, hi] = parts[static_cast<size_t>(t)];
-    int64_t local_diamond = 0;
-    int64_t local_star = 0;
-    fused_local_sums(histogram, sims, p_t, lo, hi, local_diamond,
-                     local_star);
-    sum_diamond += local_diamond;
-    sum_star += local_star;
-  }
-  return make_result(sum_diamond, sum_star, sims.size());
 }
 
 int select_threshold(std::span<const double> histogram,

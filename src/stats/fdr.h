@@ -56,10 +56,6 @@ FdrResult fdr_parallel_two_pass(std::span<const double> histogram,
                                 const SimulationSet& sims, int p_t,
                                 int ranks);
 
-/// Shared-memory fused variant (OpenMP reduction over bins).
-FdrResult fdr_parallel_omp(std::span<const double> histogram,
-                           const SimulationSet& sims, int p_t, int threads);
-
 /// Sweeps FDR over thresholds 0..B and returns the smallest p_t whose FDR
 /// is <= `target_fdr` with a non-zero denominator (the procedure's end
 /// use: threshold selection). Returns -1 when no threshold qualifies.

@@ -168,14 +168,15 @@ CoverageHistogram histogram_from_sam(const std::string& sam_path,
 CoverageHistogram histogram_from_bamx_parallel(const std::string& bamx_path,
                                                int32_t bin_size, int ranks) {
   NGSX_CHECK_MSG(ranks >= 1, "ranks must be >= 1");
-  bamx::BamxReader probe(bamx_path);
-  const SamHeader header = probe.header();
-  const uint64_t n_records = probe.num_records();
+  // One source for every rank: its reads are positioned and const.
+  const std::unique_ptr<bamx::RecordSource> source =
+      bamx::open_record_source(bamx_path);
+  const SamHeader& header = source->header();
+  const uint64_t n_records = source->num_records();
   const size_t n_refs = header.references().size();
 
   CoverageHistogram result(header, bin_size);
   mpi::run(ranks, [&](mpi::Comm& comm) {
-    bamx::BamxReader reader(bamx_path);
     CoverageHistogram local(header, bin_size);
     auto parts = core::split_records(n_records, comm.size());
     auto [begin, end] = parts[static_cast<size_t>(comm.rank())];
@@ -183,7 +184,7 @@ CoverageHistogram histogram_from_bamx_parallel(const std::string& bamx_path,
     for (uint64_t at = begin; at < end;) {
       uint64_t take = std::min<uint64_t>(4096, end - at);
       batch.clear();
-      reader.read_range(at, at + take, batch);
+      source->read_range(at, at + take, batch);
       for (const AlignmentRecord& rec : batch) {
         local.add(rec);
       }

@@ -68,9 +68,11 @@ CoverageHistogram histogram_from_bam(const std::string& bam_path,
 CoverageHistogram histogram_from_sam(const std::string& sam_path,
                                      int32_t bin_size);
 
-/// Parallel histogram construction over a preprocessed BAMX file: each
-/// minimpi rank accumulates a private histogram over its record-index
-/// share, then the per-chromosome bin vectors are sum-reduced at rank 0 —
+/// Parallel histogram construction over a preprocessed BAMX file or BAMXM
+/// shard manifest (`bamx_path` is sniffed by magic): each minimpi rank
+/// accumulates a private histogram over its record-index share of the one
+/// shared source, then the per-chromosome bin vectors are sum-reduced at
+/// rank 0 —
 /// the "convert aligned sequence data into histogram data in parallel"
 /// step the statistics pipeline starts from (§IV). Bit-identical to the
 /// sequential builders.

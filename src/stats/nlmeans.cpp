@@ -1,7 +1,5 @@
 #include "stats/nlmeans.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 
@@ -180,21 +178,6 @@ std::vector<double> nlmeans_parallel(std::span<const double> data,
     }
   });
   return result;
-}
-
-std::vector<double> nlmeans_parallel_omp(std::span<const double> data,
-                                         const NlMeansParams& params,
-                                         int threads) {
-  NGSX_CHECK_MSG(threads >= 1, "threads must be >= 1");
-  std::vector<double> out(data.size());
-  auto parts = core::split_records(data.size(), threads);
-#pragma omp parallel for num_threads(threads) schedule(static)
-  for (int t = 0; t < threads; ++t) {
-    auto [lo, hi] = parts[static_cast<size_t>(t)];
-    nlmeans_range(data, lo, hi, params,
-                  std::span<double>(out.data() + lo, hi - lo));
-  }
-  return out;
 }
 
 std::vector<double> nlmeans_parallel_pool(std::span<const double> data,

@@ -11,6 +11,7 @@
 #include "core/sort.h"
 #include "formats/bam.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx::core {
@@ -105,14 +106,14 @@ TEST(ConvertEdge, EmptyBamPreprocessAndConvert) {
     bam::BamFileWriter w(bam_path, header);
     w.close();
   }
-  auto pre = preprocess_bam(bam_path, tmp.file("e.bamx"), tmp.file("e.baix"));
+  auto pre = preprocess_bam_parallel(bam_path, tmp.file("e.bamxm"),
+                                     tmp.file("e.baix"));
   EXPECT_EQ(pre.records, 0u);
   ConvertOptions options;
   options.format = TargetFormat::kJson;
   options.ranks = 4;
-  auto stats =
-      convert_bamx(tmp.file("e.bamx"), tmp.file("e.baix"), tmp.subdir("out"),
-                   options);
+  auto stats = convert_bamx(tmp.file("e.bamxm"), tmp.file("e.baix"),
+                            tmp.subdir("out"), options);
   EXPECT_EQ(stats.records_in, 0u);
 }
 
@@ -124,7 +125,8 @@ TEST(ConvertEdge, PartialRegionWithNoMatches) {
   cfg.seed = 17;
   std::string bam_path = tmp.file("d.bam");
   simdata::write_bam_dataset(bam_path, genome, 100, cfg);
-  preprocess_bam(bam_path, tmp.file("d.bamx"), tmp.file("d.baix"));
+  testutil::reference_preprocess(bam_path, tmp.file("d.bamx"),
+                                 tmp.file("d.baix"));
   ConvertOptions options;
   options.format = TargetFormat::kSam;
   options.include_header = false;
@@ -145,12 +147,14 @@ TEST(ConvertEdge, MxNWithMoreShardsThanRecordsPerShard) {
   cfg.seed = 19;
   std::string sam_path = tmp.file("d.sam");
   simdata::write_sam_dataset(sam_path, genome, 10, cfg);  // 20 records
-  auto pre = preprocess_sam_parallel(sam_path, tmp.subdir("shards"), 8);
+  auto pre = preprocess_sam_parallel(sam_path, tmp.file("d.bamxm"),
+                                     tmp.file("d.baix"), 8);
   EXPECT_EQ(pre.records, 20u);
   ConvertOptions options;
   options.format = TargetFormat::kYaml;
   options.ranks = 4;
-  auto stats = convert_bamx_shards(pre.bamx_paths, tmp.subdir("out"), options);
+  auto stats =
+      convert_bamx_shards(tmp.file("d.bamxm"), tmp.subdir("out"), options);
   EXPECT_EQ(stats.records_in, 20u);
   EXPECT_EQ(stats.outputs.size(), 8u * 4u);
 }
@@ -205,12 +209,12 @@ TEST(ConvertEdge, SortThenPreprocessThenPartialChain) {
   }
   std::string sorted = tmp.file("s.bam");
   sort_to_bam(unsorted, sorted);
-  preprocess_bam(sorted, tmp.file("s.bamx"), tmp.file("s.baix"));
+  preprocess_bam_parallel(sorted, tmp.file("s.bamxm"), tmp.file("s.baix"));
   ConvertOptions options;
   options.format = TargetFormat::kBed;
   options.ranks = 4;
   Region region{0, 20000, 60000};
-  auto stats = convert_bamx(tmp.file("s.bamx"), tmp.file("s.baix"),
+  auto stats = convert_bamx(tmp.file("s.bamxm"), tmp.file("s.baix"),
                             tmp.subdir("out"), options, region);
   uint64_t expect = 0;
   for (const auto& rec : records) {
@@ -224,9 +228,12 @@ TEST(ConvertEdge, MissingInputFileThrows) {
   ConvertOptions options;
   EXPECT_THROW(convert_sam(tmp.file("nope.sam"), tmp.subdir("o"), options),
                Error);
-  EXPECT_THROW(
-      preprocess_bam(tmp.file("nope.bam"), tmp.file("x"), tmp.file("y")),
-      Error);
+  EXPECT_THROW(preprocess_bam_parallel(tmp.file("nope.bam"),
+                                       tmp.file("x.bamxm"), tmp.file("y")),
+               Error);
+  EXPECT_THROW(preprocess_sam_parallel(tmp.file("nope.sam"),
+                                       tmp.file("x.bamxm"), tmp.file("y"), 2),
+               Error);
 }
 
 TEST(ConvertEdge, InvalidRankCountRejected) {

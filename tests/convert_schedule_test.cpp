@@ -12,6 +12,7 @@
 #include "core/convert.h"
 #include "formats/bam.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx::core {
@@ -130,7 +131,7 @@ TEST(BamxSchedule, FullConversionByteIdentical) {
   Dataset d(300);
   std::string bamx = d.tmp.file("p.bamx");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
   for (TargetFormat format : {TargetFormat::kBedgraph, TargetFormat::kBam}) {
     ConvertOptions options;
     options.format = format;
@@ -149,7 +150,7 @@ TEST(BamxSchedule, RegionConversionByteIdentical) {
   Dataset d(400);
   std::string bamx = d.tmp.file("p.bamx");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
   Region region = parse_region("chr1:1-50000", d.genome.header());
   ConvertOptions options;
   options.format = TargetFormat::kBed;
@@ -166,7 +167,7 @@ TEST(BamxSchedule, FilteredConversionByteIdentical) {
   Dataset d(400);
   std::string bamx = d.tmp.file("p.bamx");
   std::string baix2 = d.tmp.file("p.baix2");
-  preprocess_bam(d.bam_path, bamx, d.tmp.file("p.baix"));
+  testutil::reference_preprocess(d.bam_path, bamx, d.tmp.file("p.baix"));
   build_baix2(bamx, baix2);
   Region region = parse_region("chr1", d.genome.header());
   baix2::Filter filter;

@@ -9,6 +9,7 @@
 #include "core/convert.h"
 #include "formats/bam.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx::core {
@@ -190,11 +191,11 @@ TEST(SamConverter, RecordCountsTracked) {
 
 TEST(BamConverter, PreprocessProducesFaithfulBamx) {
   Dataset d(200);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string manifest = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  auto stats = preprocess_bam(d.bam_path, bamx, baix);
+  auto stats = preprocess_bam_parallel(d.bam_path, manifest, baix);
   EXPECT_EQ(stats.records, d.records.size());
-  bamx::BamxReader reader(bamx);
+  bamx::ShardedBamxReader reader(manifest);
   ASSERT_EQ(reader.num_records(), d.records.size());
   AlignmentRecord rec;
   for (size_t i = 0; i < d.records.size(); ++i) {
@@ -211,7 +212,7 @@ TEST_P(BamConvertRanks, FullConversionMatchesSequential) {
   Dataset d;
   std::string bamx = d.tmp.file("p.bamx");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
   ConvertOptions options;
   options.format = TargetFormat::kBedgraph;
   options.ranks = GetParam();
@@ -227,7 +228,7 @@ TEST(BamConverter, PartialConversionSelectsRegion) {
   Dataset d(400);
   std::string bamx = d.tmp.file("p.bamx");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
 
   Region region = parse_region("chr1:1-50000", d.genome.header());
   ConvertOptions options;
@@ -262,7 +263,7 @@ TEST(BamConverter, PartialSizesProportional) {
   Dataset d(500);
   std::string bamx = d.tmp.file("p.bamx");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
   int32_t chr1_len =
       static_cast<int32_t>(d.genome.header().ref_length(0));
   ConvertOptions options;
@@ -283,7 +284,7 @@ TEST(BamConverter, PartialWithoutBaixRejected) {
   Dataset d(50);
   std::string bamx = d.tmp.file("p.bamx");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
   ConvertOptions options;
   options.ranks = 2;
   EXPECT_THROW(convert_bamx(bamx, "", d.tmp.subdir("x"), options,
@@ -307,20 +308,15 @@ class PreprocSamRanks : public ::testing::TestWithParam<int> {};
 TEST_P(PreprocSamRanks, ShardsContainAllRecords) {
   Dataset d;
   const int m = GetParam();
+  const std::string manifest = d.tmp.file("s.bamxm");
   auto stats =
-      preprocess_sam_parallel(d.sam_path, d.tmp.subdir("shards"), m);
+      preprocess_sam_parallel(d.sam_path, manifest, d.tmp.file("s.baix"), m);
   EXPECT_EQ(stats.records, d.records.size());
-  ASSERT_EQ(stats.bamx_paths.size(), static_cast<size_t>(m));
-  // Concatenating shard records in order reproduces the input.
+  // M shards whose records, in manifest order, reproduce the input.
+  bamx::ShardedBamxReader reader(manifest);
+  EXPECT_EQ(reader.num_shards(), static_cast<size_t>(m));
   std::vector<AlignmentRecord> all;
-  for (const auto& path : stats.bamx_paths) {
-    bamx::BamxReader reader(path);
-    AlignmentRecord rec;
-    for (uint64_t i = 0; i < reader.num_records(); ++i) {
-      reader.read(i, rec);
-      all.push_back(rec);
-    }
-  }
+  reader.read_range(0, reader.num_records(), all);
   EXPECT_EQ(all, d.records);
 }
 
@@ -330,12 +326,12 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, PreprocSamRanks,
 TEST(PreprocSamConverter, MxNConversionMatchesSequential) {
   Dataset d(250);
   const int m = 3;
-  auto pre = preprocess_sam_parallel(d.sam_path, d.tmp.subdir("shards"), m);
+  const std::string manifest = d.tmp.file("s.bamxm");
+  preprocess_sam_parallel(d.sam_path, manifest, d.tmp.file("s.baix"), m);
   ConvertOptions options;
   options.format = TargetFormat::kFasta;
   options.ranks = 4;  // N
-  auto stats =
-      convert_bamx_shards(pre.bamx_paths, d.tmp.subdir("conv"), options);
+  auto stats = convert_bamx_shards(manifest, d.tmp.subdir("conv"), options);
   // M x N part files.
   EXPECT_EQ(stats.outputs.size(), static_cast<size_t>(m * 4));
   EXPECT_EQ(concat_outputs(stats), expected_text(d, TargetFormat::kFasta));
@@ -343,13 +339,51 @@ TEST(PreprocSamConverter, MxNConversionMatchesSequential) {
 
 TEST(PreprocSamConverter, ShardBaixSupportsPartial) {
   Dataset d(300);
-  auto pre = preprocess_sam_parallel(d.sam_path, d.tmp.subdir("shards"), 2);
-  // Each shard's BAIX must agree with its BAMX contents.
-  for (size_t s = 0; s < pre.bamx_paths.size(); ++s) {
-    bamx::BamxReader reader(pre.bamx_paths[s]);
-    bamx::BaixIndex index = bamx::BaixIndex::load(pre.baix_paths[s]);
-    EXPECT_EQ(index.size(), reader.num_records());
+  const std::string manifest = d.tmp.file("s.bamxm");
+  const std::string baix = d.tmp.file("s.baix");
+  preprocess_sam_parallel(d.sam_path, manifest, baix, 2);
+  // One merged BAIX indexes the records of every shard...
+  EXPECT_EQ(bamx::BaixIndex::load(baix).size(), d.records.size());
+  // ...and drives partial conversion over the manifest.
+  Region region = parse_region("chr1:1-100000", d.genome.header());
+  ConvertOptions options;
+  options.format = TargetFormat::kBed;
+  options.ranks = 3;
+  auto stats =
+      convert_bamx(manifest, baix, d.tmp.subdir("part"), options, region);
+  uint64_t expected = 0;
+  for (const auto& rec : d.records) {
+    if (rec.ref_id == region.ref_id && rec.pos >= region.begin &&
+        rec.pos < region.end) {
+      ++expected;
+    }
   }
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(stats.records_in, expected);
+}
+
+TEST(PreprocSamConverter, SamAndBamFrontEndsAgree) {
+  // One pipeline, two front-ends: preprocessing the same records from SAM
+  // and from BAM yields the same layout, shard records and BAIX bytes.
+  Dataset d(200);
+  const std::string sam_manifest = d.tmp.file("sam.bamxm");
+  const std::string bam_manifest = d.tmp.file("bam.bamxm");
+  preprocess_sam_parallel(d.sam_path, sam_manifest, d.tmp.file("sam.baix"),
+                          3);
+  PreprocessOptions opt;
+  opt.threads = 3;
+  opt.shards = 3;
+  preprocess_bam_parallel(d.bam_path, bam_manifest, d.tmp.file("bam.baix"),
+                          opt);
+  EXPECT_EQ(read_file(d.tmp.file("sam.baix")),
+            read_file(d.tmp.file("bam.baix")));
+  bamx::ShardedBamxReader from_sam(sam_manifest);
+  bamx::ShardedBamxReader from_bam(bam_manifest);
+  EXPECT_EQ(from_sam.layout(), from_bam.layout());
+  std::string sam_bytes, bam_bytes;
+  from_sam.read_raw_range(0, from_sam.num_records(), sam_bytes);
+  from_bam.read_raw_range(0, from_bam.num_records(), bam_bytes);
+  EXPECT_EQ(sam_bytes, bam_bytes);
 }
 
 // ------------------------------------------------------------ target layer

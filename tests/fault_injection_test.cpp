@@ -27,6 +27,7 @@
 #include "formats/bam.h"
 #include "formats/sam.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/binio.h"
 #include "util/iopolicy.h"
 #include "util/tempdir.h"
@@ -333,36 +334,41 @@ TEST_P(FaultMatrix, ConvertSamAbsorbsTransientFaultsWithinBudget) {
 TEST_P(FaultMatrix, PreprocessBamSurvivesWriteAndReadFaults) {
   Dataset& d = dataset();
   TempDir tmp("faultprep");
+  core::PreprocessOptions popt;
+  popt.threads = 2;
+  popt.shards = 2;
+  popt.decode_threads = decode_threads();
+  const auto preprocess = [&](const std::string& dir) {
+    core::preprocess_bam_parallel(d.bam_path, dir + "/x.bamxm",
+                                  dir + "/x.baix", popt);
+  };
   const std::string clean_dir = tmp.subdir("clean");
-  core::preprocess_bam(d.bam_path, clean_dir + "/x.bamx", clean_dir + "/x.baix",
-                       decode_threads());
+  preprocess(clean_dir);
   auto clean = snapshot(clean_dir);
 
+  // Write faults on the shards, the BAIX and the manifest; the last two
+  // are one small file each, so only offset-0 faults can fire there.
+  const std::vector<std::pair<std::string, bool>> targets = {
+      {"x-shard-", true}, {"x.baix", false}, {"x.bamxm", false}};
   int i = 0;
-  for (const FaultCase& fc : write_fault_cases(/*multi_op=*/true)) {
-    const std::string dir = tmp.subdir("w" + std::to_string(i++));
-    // "/x." matches both the BAMX and BAIX destinations.
-    expect_fault(fc, "/x.", dir,
-                 [&] {
-                   core::preprocess_bam(d.bam_path, dir + "/x.bamx",
-                                        dir + "/x.baix", decode_threads());
-                 },
-                 clean);
-    core::preprocess_bam(d.bam_path, dir + "/x.bamx", dir + "/x.baix",
-                         decode_threads());
-    expect_identical(snapshot(dir), clean);
+  for (const auto& [target, multi_op] : targets) {
+    for (const FaultCase& fc : write_fault_cases(multi_op)) {
+      SCOPED_TRACE(target);
+      const std::string dir = tmp.subdir("w" + std::to_string(i++));
+      expect_fault(fc, target, dir, [&] { preprocess(dir); }, clean);
+      // Shards commit before the BAIX and the manifest, and a later
+      // failure removes them again: nothing is published.
+      EXPECT_TRUE(snapshot(dir).empty());
+      preprocess(dir);
+      expect_identical(snapshot(dir), clean);
+    }
   }
   i = 0;
   for (const FaultCase& fc : read_fault_cases()) {
     const std::string dir = tmp.subdir("r" + std::to_string(i++));
-    expect_fault(fc, "in.bam", dir,
-                 [&] {
-                   core::preprocess_bam(d.bam_path, dir + "/x.bamx",
-                                        dir + "/x.baix", decode_threads());
-                 },
-                 clean);
-    core::preprocess_bam(d.bam_path, dir + "/x.bamx", dir + "/x.baix",
-                         decode_threads());
+    expect_fault(fc, "in.bam", dir, [&] { preprocess(dir); }, clean);
+    EXPECT_TRUE(snapshot(dir).empty());
+    preprocess(dir);
     expect_identical(snapshot(dir), clean);
   }
 }
@@ -372,7 +378,7 @@ TEST_P(FaultMatrix, ConvertBamxSurvivesEveryFaultClass) {
   TempDir tmp("faultbamx");
   const std::string bamx = tmp.file("x.bamx");
   const std::string baix = tmp.file("x.baix");
-  core::preprocess_bam(d.bam_path, bamx, baix, decode_threads());
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
 
   for (TargetFormat format : {TargetFormat::kBed, TargetFormat::kBam}) {
     SCOPED_TRACE(core::target_format_name(format));
@@ -454,41 +460,45 @@ TEST_P(FaultMatrix, ShardedConverterSurvivesFaultsInBothPhases) {
   ConvertOptions opt = options(TargetFormat::kBed);
   TempDir tmp("faultshard");
 
+  const auto preprocess = [&](const std::string& dir) {
+    core::preprocess_sam_parallel(d.sam_path, dir + "/x.bamxm",
+                                  dir + "/x.baix", 2);
+  };
   const std::string clean_pre = tmp.subdir("clean-pre");
-  auto pre = core::preprocess_sam_parallel(d.sam_path, clean_pre, 2);
+  preprocess(clean_pre);
+  const std::string manifest = clean_pre + "/x.bamxm";
   auto clean_shards = snapshot(clean_pre);
   const std::string clean_conv = tmp.subdir("clean-conv");
-  core::convert_bamx_shards(pre.bamx_paths, clean_conv, opt);
+  core::convert_bamx_shards(manifest, clean_conv, opt);
   auto clean_parts = snapshot(clean_conv);
 
-  // Phase 1 faults: shard writers.
+  // Phase 1 faults: shard writers. Nothing may be published.
   int i = 0;
   for (const FaultCase& fc : write_fault_cases(/*multi_op=*/true)) {
     const std::string dir = tmp.subdir("pre" + std::to_string(i++));
-    expect_fault(fc, "shard-", dir,
-                 [&] { core::preprocess_sam_parallel(d.sam_path, dir, 2); },
-                 clean_shards);
-    core::preprocess_sam_parallel(d.sam_path, dir, 2);
+    expect_fault(fc, "shard-", dir, [&] { preprocess(dir); }, clean_shards);
+    EXPECT_TRUE(snapshot(dir).empty());
+    preprocess(dir);
     expect_identical(snapshot(dir), clean_shards);
   }
 
-  // Phase 2 faults: part writers and shard readers.
+  // Phase 2 faults: part writers and manifest/shard readers.
   i = 0;
   for (const FaultCase& fc : write_fault_cases(/*multi_op=*/true)) {
     const std::string dir = tmp.subdir("conv" + std::to_string(i++));
     expect_fault(fc, "part-", dir,
-                 [&] { core::convert_bamx_shards(pre.bamx_paths, dir, opt); },
+                 [&] { core::convert_bamx_shards(manifest, dir, opt); },
                  clean_parts);
-    core::convert_bamx_shards(pre.bamx_paths, dir, opt);
+    core::convert_bamx_shards(manifest, dir, opt);
     expect_identical(snapshot(dir), clean_parts);
   }
   i = 0;
   for (const FaultCase& fc : read_fault_cases()) {
     const std::string dir = tmp.subdir("convr" + std::to_string(i++));
     expect_fault(fc, ".bamx", dir,
-                 [&] { core::convert_bamx_shards(pre.bamx_paths, dir, opt); },
+                 [&] { core::convert_bamx_shards(manifest, dir, opt); },
                  clean_parts);
-    core::convert_bamx_shards(pre.bamx_paths, dir, opt);
+    core::convert_bamx_shards(manifest, dir, opt);
     expect_identical(snapshot(dir), clean_parts);
   }
 }

@@ -6,7 +6,7 @@
 //     -> coordinate-sort to BAM        (core/sort)
 //     -> validate                       (formats/validate)
 //     -> BAI index + region query       (formats/bai)
-//     -> preprocess to BAMX/BAIX        (core, paper III-B)
+//     -> preprocess to BAMXM/BAIX       (core, paper III-B)
 //     -> parallel conversion to BED     (core, paper III-A/B)
 //     -> BED interval algebra           (formats/bed)
 //     -> parallel histogram             (stats, paper IV)
@@ -96,9 +96,12 @@ TEST(PipelineIntegration, EndToEnd) {
   ASSERT_FALSE(chunks.empty());
 
   // ---- 5. Preprocess (paper III-B) and convert in parallel.
-  const std::string bamx = tmp.file("a.bamx");
+  const std::string bamx = tmp.file("a.bamxm");
   const std::string baix = tmp.file("a.baix");
-  auto pre = core::preprocess_bam(sorted_bam, bamx, baix);
+  core::PreprocessOptions preprocess_options;
+  preprocess_options.threads = ranks;
+  auto pre = core::preprocess_bam_parallel(sorted_bam, bamx, baix,
+                                           preprocess_options);
   ASSERT_EQ(pre.records, records.size());
 
   core::ConvertOptions convert_options;

@@ -1,6 +1,6 @@
 // Tests for the single-pass parallel BAM preprocessor (BAMXM shard
-// manifests): byte-identity against the sequential two-pass preprocessor,
-// the ShardedBamxReader record-space view, manifest validation, and
+// manifests): byte-identity against a reference direct encode, the
+// ShardedBamxReader record-space view, manifest validation, and
 // crash-consistency when a shard committer dies mid-preprocess.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "core/convert.h"
 #include "formats/bam.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/iopolicy.h"
 #include "util/tempdir.h"
 
@@ -56,20 +57,23 @@ std::string concat_outputs(const ConvertStats& stats) {
   return all;
 }
 
-/// Runs both preprocessors over `d` and returns (seq bamx, seq baix,
-/// manifest, par baix) paths. `opt` controls the parallel run.
+/// Runs the reference and the parallel preprocessor over `d` and returns
+/// (ref bamx, ref baix, manifest, par baix) paths. `opt` controls the
+/// parallel run.
 struct PreprocPair {
-  std::string seq_bamx, seq_baix, manifest, par_baix;
-  PreprocessStats seq_stats, par_stats;
+  std::string ref_bamx, ref_baix, manifest, par_baix;
+  uint64_t ref_records = 0;
+  PreprocessStats par_stats;
 };
 
 PreprocPair preprocess_both(const Dataset& d, PreprocessOptions opt) {
   PreprocPair p;
-  p.seq_bamx = d.tmp.file("seq.bamx");
-  p.seq_baix = d.tmp.file("seq.baix");
+  p.ref_bamx = d.tmp.file("ref.bamx");
+  p.ref_baix = d.tmp.file("ref.baix");
   p.manifest = d.tmp.file("par.bamxm");
   p.par_baix = d.tmp.file("par.baix");
-  p.seq_stats = preprocess_bam(d.bam_path, p.seq_bamx, p.seq_baix);
+  p.ref_records =
+      testutil::reference_preprocess(d.bam_path, p.ref_bamx, p.ref_baix);
   p.par_stats = preprocess_bam_parallel(d.bam_path, p.manifest, p.par_baix,
                                         opt);
   return p;
@@ -79,31 +83,33 @@ PreprocPair preprocess_both(const Dataset& d, PreprocessOptions opt) {
 
 TEST(PreprocessParallel, ShardsConcatenateToSequentialBytes) {
   Dataset d(400);
-  PreprocessOptions opt;
-  opt.threads = 4;
-  opt.shards = 3;
-  opt.chunk_records = 37;  // many chunks -> layout merging is exercised
-  PreprocPair p = preprocess_both(d, opt);
+  for (int threads : {1, 4}) {
+    PreprocessOptions opt;
+    opt.threads = threads;
+    opt.shards = 3;
+    opt.chunk_records = 37;  // many chunks -> layout merging is exercised
+    PreprocPair p = preprocess_both(d, opt);
 
-  EXPECT_EQ(p.par_stats.records, p.seq_stats.records);
-  EXPECT_EQ(p.par_stats.records, d.records.size());
+    EXPECT_EQ(p.par_stats.records, p.ref_records);
+    EXPECT_EQ(p.par_stats.records, d.records.size());
 
-  // The BAIX must be bit-identical: the parallel merge of per-chunk sorted
-  // runs equals the sequential stable_sort.
-  EXPECT_EQ(read_file(p.par_baix), read_file(p.seq_baix));
+    // The BAIX must be bit-identical: the parallel merge of per-chunk
+    // sorted runs equals from_entries' stable_sort.
+    EXPECT_EQ(read_file(p.par_baix), read_file(p.ref_baix));
 
-  // The shards, concatenated in manifest order, must reproduce the
-  // sequential BAMX data section byte for byte (same global layout, same
-  // record order, same encoding).
-  bamx::BamxManifest manifest = bamx::BamxManifest::load(p.manifest);
-  bamx::BamxReader seq(p.seq_bamx);
-  EXPECT_EQ(manifest.layout, seq.layout());
-  EXPECT_EQ(manifest.n_records, seq.num_records());
-  std::string concat;
-  for (const auto& shard : manifest.shards) {
-    concat += data_section(d.tmp.file(shard.path));
+    // The shards, concatenated in manifest order, must reproduce the
+    // reference BAMX data section byte for byte (same global layout, same
+    // record order, same encoding).
+    bamx::BamxManifest manifest = bamx::BamxManifest::load(p.manifest);
+    bamx::BamxReader ref(p.ref_bamx);
+    EXPECT_EQ(manifest.layout, ref.layout());
+    EXPECT_EQ(manifest.n_records, ref.num_records());
+    std::string concat;
+    for (const auto& shard : manifest.shards) {
+      concat += data_section(d.tmp.file(shard.path));
+    }
+    EXPECT_EQ(concat, data_section(p.ref_bamx)) << "threads=" << threads;
   }
-  EXPECT_EQ(concat, data_section(p.seq_bamx));
 }
 
 TEST(PreprocessParallel, FullConversionMatchesSequentialPreprocess) {
@@ -119,12 +125,12 @@ TEST(PreprocessParallel, FullConversionMatchesSequentialPreprocess) {
     options.format = TargetFormat::kBed;
     options.ranks = 3;
     options.schedule = schedule;
-    auto seq = convert_bamx(p.seq_bamx, p.seq_baix,
-                            d.tmp.subdir("out-seq"), options);
+    auto ref = convert_bamx(p.ref_bamx, p.ref_baix,
+                            d.tmp.subdir("out-ref"), options);
     auto par = convert_bamx(p.manifest, p.par_baix,
                             d.tmp.subdir("out-par"), options);
-    EXPECT_EQ(seq.records_in, d.records.size());
-    EXPECT_EQ(concat_outputs(par), concat_outputs(seq));
+    EXPECT_EQ(ref.records_in, d.records.size());
+    EXPECT_EQ(concat_outputs(par), concat_outputs(ref));
   }
 }
 
@@ -140,12 +146,12 @@ TEST(PreprocessParallel, PartialConversionMatchesSequentialPreprocess) {
   options.include_header = false;
   options.ranks = 2;
   Region region = parse_region("chr1:1-150000", d.genome.header());
-  auto seq = convert_bamx(p.seq_bamx, p.seq_baix, d.tmp.subdir("part-seq"),
+  auto ref = convert_bamx(p.ref_bamx, p.ref_baix, d.tmp.subdir("part-ref"),
                           options, region);
   auto par = convert_bamx(p.manifest, p.par_baix, d.tmp.subdir("part-par"),
                           options, region);
-  EXPECT_GT(seq.records_in, 0u);
-  EXPECT_EQ(concat_outputs(par), concat_outputs(seq));
+  EXPECT_GT(ref.records_in, 0u);
+  EXPECT_EQ(concat_outputs(par), concat_outputs(ref));
 }
 
 TEST(PreprocessParallel, Baix2BuildsOverManifest) {
@@ -155,11 +161,11 @@ TEST(PreprocessParallel, Baix2BuildsOverManifest) {
   opt.shards = 3;
   PreprocPair p = preprocess_both(d, opt);
 
-  const std::string seq2 = d.tmp.file("seq.baix2");
+  const std::string ref2 = d.tmp.file("ref.baix2");
   const std::string par2 = d.tmp.file("par.baix2");
-  build_baix2(p.seq_bamx, seq2);
+  build_baix2(p.ref_bamx, ref2);
   build_baix2(p.manifest, par2);
-  EXPECT_EQ(read_file(par2), read_file(seq2));
+  EXPECT_EQ(read_file(par2), read_file(ref2));
 }
 
 // --------------------------------------------------- sharded record space
@@ -172,27 +178,27 @@ TEST(ShardedBamxReader, ReadsAcrossShardBoundaries) {
   opt.chunk_records = 17;
   PreprocPair p = preprocess_both(d, opt);
 
-  bamx::BamxReader seq(p.seq_bamx);
+  bamx::BamxReader ref(p.ref_bamx);
   bamx::ShardedBamxReader sharded(p.manifest);
-  ASSERT_EQ(sharded.num_records(), seq.num_records());
+  ASSERT_EQ(sharded.num_records(), ref.num_records());
   EXPECT_EQ(sharded.num_shards(), 4u);
-  EXPECT_EQ(sharded.header(), seq.header());
+  EXPECT_EQ(sharded.header(), ref.header());
 
   // Every record individually (random access crossing all boundaries).
   AlignmentRecord a, b;
-  for (uint64_t i = 0; i < seq.num_records(); ++i) {
-    seq.read(i, a);
+  for (uint64_t i = 0; i < ref.num_records(); ++i) {
+    ref.read(i, a);
     sharded.read(i, b);
     EXPECT_EQ(a, b) << "record " << i;
-    EXPECT_EQ(sharded.read_ref_pos(i), seq.read_ref_pos(i));
+    EXPECT_EQ(sharded.read_ref_pos(i), ref.read_ref_pos(i));
   }
 
   // Bulk ranges that straddle shard boundaries.
-  const uint64_t n = seq.num_records();
+  const uint64_t n = ref.num_records();
   for (auto [lo, hi] : std::vector<std::pair<uint64_t, uint64_t>>{
            {0, n}, {1, n - 1}, {n / 4 - 1, 3 * n / 4 + 1}, {n / 2, n / 2}}) {
     std::vector<AlignmentRecord> want, got;
-    seq.read_range(lo, hi, want);
+    ref.read_range(lo, hi, want);
     sharded.read_range(lo, hi, got);
     EXPECT_EQ(got, want) << "range [" << lo << ", " << hi << ")";
   }
@@ -206,7 +212,7 @@ TEST(OpenRecordSource, SniffsMagic) {
   PreprocPair p = preprocess_both(d, opt);
 
   EXPECT_NE(dynamic_cast<bamx::BamxReader*>(
-                bamx::open_record_source(p.seq_bamx).get()),
+                bamx::open_record_source(p.ref_bamx).get()),
             nullptr);
   EXPECT_NE(dynamic_cast<bamx::ShardedBamxReader*>(
                 bamx::open_record_source(p.manifest).get()),
@@ -288,10 +294,10 @@ TEST(ShardedBamxReader, RejectsShardLayoutMismatch) {
   PreprocPair p = preprocess_both(d, opt);
 
   // Point the manifest at a shard whose layout differs from the global
-  // one (the sequential monolith is a convenient wrong-stride stand-in
+  // one (the reference monolith is a convenient wrong-stride stand-in
   // only if its record count also matches, so fake a count mismatch too).
   bamx::BamxManifest m = bamx::BamxManifest::load(p.manifest);
-  m.shards[0].path = "seq.bamx";
+  m.shards[0].path = "ref.bamx";
   m.save(p.manifest);
   EXPECT_THROW(bamx::ShardedBamxReader reader(p.manifest), FormatError);
 }

@@ -25,6 +25,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx::serve {
@@ -60,7 +61,7 @@ struct ServeData {
     bamx = tmp.file("in.bamx");
     baix = tmp.file("in.baix");
     baix2 = tmp.file("in.baix2");
-    core::preprocess_bam(bam, bamx, baix);
+    testutil::reference_preprocess(bam, bamx, baix);
     core::build_baix2(bamx, baix2);
   }
 };

@@ -3,16 +3,48 @@
 // Shared test helpers: a randomized AlignmentRecord generator that covers
 // far more of the codec state space than simulator output (degenerate
 // fields, every aux type, extreme values), used by the round-trip property
-// suites.
+// suites; and the reference BAM preprocessor the parallel one is checked
+// against.
 
 #pragma once
 
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "formats/bam.h"
+#include "formats/bamx.h"
 #include "formats/sam.h"
 #include "util/rng.h"
 
 namespace ngsx::testutil {
+
+/// Reference BAM -> BAMX + BAIX: read every record, measure the layout,
+/// then encode directly into one monolithic BAMX and index it with
+/// BaixIndex::from_entries. Independent of the preprocessing pipeline, so
+/// its bytes are the oracle for the pipeline's shards and BAIX. Returns
+/// the record count.
+inline uint64_t reference_preprocess(const std::string& bam_path,
+                                     const std::string& bamx_path,
+                                     const std::string& baix_path) {
+  bam::BamFileReader reader(bam_path);
+  std::vector<sam::AlignmentRecord> records;
+  bamx::BamxLayout layout;
+  sam::AlignmentRecord rec;
+  while (reader.next(rec)) {
+    layout.accommodate(rec);
+    records.push_back(rec);
+  }
+  bamx::BamxWriter writer(bamx_path, reader.header(), layout);
+  std::vector<bamx::BaixEntry> entries;
+  for (uint64_t i = 0; i < records.size(); ++i) {
+    writer.write(records[i]);
+    entries.push_back(bamx::BaixEntry{records[i].ref_id, records[i].pos, i});
+  }
+  writer.close();
+  bamx::BaixIndex::from_entries(std::move(entries)).save(baix_path);
+  return records.size();
+}
 
 inline std::string random_name(Rng& rng, size_t max_len) {
   static constexpr std::string_view alphabet =
