@@ -10,9 +10,10 @@
 // extra compress/decompress cycle per record. The dup-marking rows cost
 // two input passes by construction.
 //
-// Emits BENCH_collate.json (path configurable with --json). With
-// --floor N, exits non-zero unless the in-memory FASTQ-export row
-// sustains at least N records/s — the CI regression gate.
+// Emits BENCH_collate.json (path configurable with --json). Exits
+// non-zero when a "spilling" row wrote no spill runs, and, with
+// --floor N, unless the in-memory FASTQ-export row sustains at least
+// N records/s — the CI regression gate.
 //
 // Usage: bench_collate [--pairs N] [--repeats R] [--json PATH] [--floor N]
 
@@ -70,6 +71,12 @@ int main(int argc, char** argv) {
   core::CollateOptions spilling = in_memory;
   // Force heavy spilling: ~20 runs over the dataset.
   spilling.max_records_in_memory = std::max<size_t>(64, records / 20);
+  // FASTQ export spills only when its pending-mate bucket (half the
+  // budget) overflows. On coordinate-sorted input that bucket holds just
+  // the mates in flight plus the orphans so far, well under records / 40,
+  // so it gets the 64-record budget perfbench's bam_collate spills with.
+  core::CollateOptions fastq_spilling = in_memory;
+  fastq_spilling.max_records_in_memory = 64;
 
   std::vector<Row> rows;
   auto run = [&](const std::string& program, const std::string& config,
@@ -96,7 +103,8 @@ int main(int argc, char** argv) {
                                       in_memory);
       });
   run("fastq_export", "spilling", [&] {
-    return core::collate_to_fastq(bam_path, tmp.file("fq_ext"), spilling);
+    return core::collate_to_fastq(bam_path, tmp.file("fq_ext"),
+                                  fastq_spilling);
   });
   run("name_group_bam", "in-memory", [&] {
     return core::collate_to_bam(bam_path, tmp.file("grouped_mem.bam"),
@@ -127,6 +135,9 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"spill_budget\": %llu,\n",
                static_cast<unsigned long long>(
                    spilling.max_records_in_memory));
+  std::fprintf(f, "  \"fastq_spill_budget\": %llu,\n",
+               static_cast<unsigned long long>(
+                   fastq_spilling.max_records_in_memory));
   std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -145,12 +156,22 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
+  int status = 0;
+  for (const Row& r : rows) {
+    if (r.config == "spilling" && r.spill_runs == 0) {
+      std::fprintf(stderr,
+                   "FAIL: spilling %s row wrote no spill runs, so it did not "
+                   "time the spill path\n",
+                   r.program.c_str());
+      status = 1;
+    }
+  }
   if (floor > 0 && gate.records_per_s < floor) {
     std::fprintf(stderr,
                  "FAIL: in-memory fastq_export %.0f records/s is below the "
                  "--floor %.0f\n",
                  gate.records_per_s, floor);
-    return 1;
+    status = 1;
   }
-  return 0;
+  return status;
 }

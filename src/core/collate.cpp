@@ -1,10 +1,8 @@
 #include "core/collate.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "exec/pipeline.h"
@@ -14,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/strutil.h"
+#include "util/timer.h"
 
 namespace ngsx::core {
 
@@ -66,16 +65,6 @@ SortOptions to_sort_options(const CollateOptions& options) {
   out.temp_dir = options.temp_dir;
   return out;
 }
-
-struct Timer {
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  }
-};
 
 /// Drains a name-collated sorter as whole name groups. Within a group,
 /// records arrive in (pairing_rank, input order): primary R1, primary
@@ -236,10 +225,8 @@ SamHeader read_header(const std::string& path) {
 
 void for_each_record(const std::string& path, const CollateOptions& options,
                      const std::function<void(AlignmentRecord&&)>& fn) {
-  int workers =
-      options.parse_threads == 0
-          ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
-          : options.parse_threads;
+  const int workers = options.parse_threads == 0 ? exec::hardware_threads()
+                                                 : options.parse_threads;
   if (workers <= 1 || !strutil::ends_with(path, ".bam")) {
     AlignmentInput in(path, options.decode_threads);
     AlignmentRecord rec;
@@ -394,7 +381,7 @@ CollateStats collate_to_bam(const std::string& in_path,
                             const std::string& out_bam,
                             const CollateOptions& options) {
   obs::StageScope stage("convert.stage.collate", "collate", "to_bam");
-  Timer timer;
+  WallTimer timer;
   CollateStats stats;
 
   SamHeader header = read_header(in_path);
@@ -436,7 +423,7 @@ CollateStats collate_to_fastq(const std::string& in_path,
                               const std::string& out_prefix,
                               const CollateOptions& options) {
   obs::StageScope stage("convert.stage.collate", "collate", "to_fastq");
-  Timer timer;
+  WallTimer timer;
 
   fastq::FastqWriter r1_out(out_prefix + "_R1.fastq");
   fastq::FastqWriter r2_out(out_prefix + "_R2.fastq");
@@ -498,7 +485,7 @@ CollateStats mark_duplicates(const std::string& in_path,
                              const std::string& out_bam, DuplicateMode mode,
                              const CollateOptions& options) {
   obs::StageScope stage("convert.stage.collate", "collate", "mark_duplicates");
-  Timer timer;
+  WallTimer timer;
 
   SamHeader header = read_header(in_path);
 

@@ -138,7 +138,7 @@ class LineRangeReader {
 };
 
 /// Parses every alignment line of `range`, handing each record to `emit`;
-/// header and blank lines are skipped. The record object is reused across
+/// lines follow sam::is_alignment_line. The record object is reused across
 /// lines, so `emit` may keep its capacity or move it out.
 template <class Emit>
 void for_each_sam_record(const InputFile& file, ByteRange range,
@@ -148,8 +148,8 @@ void for_each_sam_record(const InputFile& file, ByteRange range,
   AlignmentRecord rec;
   std::string_view line;
   while (lines.next(line)) {
-    if (line.empty() || line[0] == '@') {
-      continue;  // stray header line or blank
+    if (!sam::is_alignment_line(line)) {
+      continue;
     }
     sam::parse_record(line, header, rec);
     emit(rec);

@@ -1,8 +1,6 @@
 #include "exec/pool.h"
 
-#include <chrono>
 #include <cstdio>
-#include <random>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,22 +10,16 @@ namespace ngsx::exec {
 namespace {
 
 // Worker identity of the calling thread: which pool (if any) and which
-// index within it. Used to route spawns to the local deque and to let
+// index within it. Used to push spawns to the queue front and to let
 // TaskGroup::wait() help-execute instead of blocking a worker.
 thread_local Pool* tl_pool = nullptr;
 thread_local int tl_index = -1;
-
-// How long an idle worker parks before re-scanning. Wakeups are normally
-// explicit (wake_cv_), but owner-deque pushes signal without the injector
-// lock, so a notification can be missed; the timeout bounds that window.
-constexpr auto kParkInterval = std::chrono::microseconds(200);
 
 // Pool observability (docs/OBSERVABILITY.md, layer "exec"). Handles are
 // registered lazily on the first armed hook; every hook is gated on
 // obs::metrics_enabled() so the disarmed cost is one relaxed load.
 struct PoolMetrics {
   obs::Counter& tasks = obs::counter("exec.pool.tasks");
-  obs::Counter& steals = obs::counter("exec.pool.steals");
   obs::Counter& parks = obs::counter("exec.pool.parks");
   obs::Gauge& queue_depth = obs::gauge("exec.pool.queue_depth");
   obs::Histogram& task_us = obs::histogram("exec.pool.task_us");
@@ -49,10 +41,6 @@ int hardware_threads() {
 
 Pool::Pool(int threads) : n_threads_(threads) {
   NGSX_CHECK_MSG(threads >= 1, "pool needs at least one worker");
-  deques_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    deques_.push_back(std::make_unique<StealDeque<Task*>>());
-  }
   workers_.reserve(static_cast<size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_main(i); });
@@ -60,13 +48,16 @@ Pool::Pool(int threads) : n_threads_(threads) {
 }
 
 Pool::~Pool() {
-  stop_.store(true, std::memory_order_seq_cst);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
   wake_cv_.notify_all();
   for (auto& worker : workers_) {
     worker.join();
   }
   // Graceful shutdown drains everything; nothing should remain.
-  NGSX_CHECK_MSG(pending_.load() == 0, "pool destroyed with tasks pending");
+  NGSX_CHECK_MSG(queue_.empty(), "pool destroyed with tasks pending");
 }
 
 int Pool::current_worker_index() { return tl_index; }
@@ -74,76 +65,44 @@ int Pool::current_worker_index() { return tl_index; }
 bool Pool::on_worker_thread() const { return tl_pool == this; }
 
 void Pool::submit(std::function<void()> fn) {
-  submit_task(new Task{std::move(fn), nullptr});
+  push(Task{std::move(fn), nullptr});
 }
 
-void Pool::submit_task(Task* task) {
-  pending_.fetch_add(1, std::memory_order_relaxed);
+void Pool::push(Task task) {
   if (obs::metrics_enabled()) {
     pool_metrics().queue_depth.add(1);
   }
-  if (tl_pool == this) {
-    // Spawned from a worker: LIFO push onto its own deque; thieves take
-    // the oldest end. Signal outside the lock — a missed wakeup is
-    // recovered by the parked workers' timeout.
-    deques_[static_cast<size_t>(tl_index)]->push(task);
-    wake_cv_.notify_one();
-    return;
-  }
   {
-    std::lock_guard<std::mutex> lock(inj_mu_);
-    injector_.push_back(task);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tl_pool == this) {
+      queue_.push_front(std::move(task));  // nested spawn: depth-first
+    } else {
+      queue_.push_back(std::move(task));
+    }
   }
   wake_cv_.notify_one();
 }
 
-Pool::Task* Pool::find_task() {
-  Task* task = nullptr;
-  // 1. Own deque (only when called on a worker thread).
-  if (tl_pool == this &&
-      deques_[static_cast<size_t>(tl_index)]->pop(task)) {
-    return task;
-  }
-  // 2. Global injector.
-  {
-    std::lock_guard<std::mutex> lock(inj_mu_);
-    if (!injector_.empty()) {
-      task = injector_.front();
-      injector_.pop_front();
-      return task;
-    }
-  }
-  // 3. Steal: one randomized sweep over the other workers' deques.
-  thread_local std::minstd_rand rng(static_cast<unsigned>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id())));
-  const int n = size();
-  const int self = tl_pool == this ? tl_index : -1;
-  const int start = static_cast<int>(rng() % static_cast<unsigned>(n));
-  for (int k = 0; k < n; ++k) {
-    int victim = (start + k) % n;
-    if (victim == self) {
-      continue;
-    }
-    if (deques_[static_cast<size_t>(victim)]->steal(task)) {
-      if (obs::metrics_enabled()) {
-        pool_metrics().steals.add(1);
-      }
-      return task;
-    }
-  }
-  return nullptr;
+Pool::Task Pool::pop_front() {
+  Task task = std::move(queue_.front());
+  queue_.pop_front();
+  return task;
 }
 
 bool Pool::try_run_one() {
-  Task* task = find_task();
-  if (task == nullptr) {
-    return false;
+  Task task;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.empty()) {
+      return false;
+    }
+    task = pop_front();
   }
-  run_task(task);
+  run_task(std::move(task));
   return true;
 }
 
-void Pool::run_task(Task* task) {
+void Pool::run_task(Task task) {
   uint64_t start_ns = 0;
   const bool recording = obs::metrics_enabled();
   if (recording) {
@@ -152,16 +111,16 @@ void Pool::run_task(Task* task) {
     m.queue_depth.sub(1);
     start_ns = obs::detail::monotonic_ns();
   }
-  if (task->group != nullptr) {
+  if (task.group != nullptr) {
     try {
-      task->fn();
+      task.fn();
     } catch (...) {
-      task->group->record_error(std::current_exception());
+      task.group->record_error(std::current_exception());
     }
-    task->group->task_done();
+    task.group->task_done();
   } else {
     try {
-      task->fn();
+      task.fn();
     } catch (...) {
       // No submitter to propagate to; mirror std::thread semantics.
       std::fprintf(stderr,
@@ -169,8 +128,6 @@ void Pool::run_task(Task* task) {
       std::terminate();
     }
   }
-  delete task;
-  pending_.fetch_sub(1, std::memory_order_release);
   if (recording) {
     pool_metrics().task_us.record(
         (obs::detail::monotonic_ns() - start_ns) / 1000);
@@ -181,26 +138,24 @@ void Pool::worker_main(int index) {
   tl_pool = this;
   tl_index = index;
   obs::set_thread_name("exec.worker");
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    if (try_run_one()) {
+    if (!queue_.empty()) {
+      Task task = pop_front();
+      lock.unlock();
+      run_task(std::move(task));  // destroys the closure outside the lock
+      lock.lock();
       continue;
     }
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-    std::unique_lock<std::mutex> lock(inj_mu_);
-    if (!injector_.empty()) {
-      continue;  // raced with a submit; rescan
-    }
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
+    // Every push happens under mu_, so a push cannot slip in between
+    // this check and the wait: sleeping without a timeout is safe.
+    if (stop_) {
       return;
     }
     if (obs::metrics_enabled()) {
       pool_metrics().parks.add(1);
     }
-    wake_cv_.wait_for(lock, kParkInterval);
+    wake_cv_.wait(lock);
   }
 }
 
@@ -220,7 +175,7 @@ TaskGroup::~TaskGroup() {
 
 void TaskGroup::spawn(std::function<void()> fn) {
   outstanding_.fetch_add(1, std::memory_order_relaxed);
-  pool_.submit_task(new Pool::Task{std::move(fn), this});
+  pool_.push(Pool::Task{std::move(fn), this});
 }
 
 void TaskGroup::task_done() {
@@ -234,7 +189,6 @@ void TaskGroup::task_done() {
 }
 
 void TaskGroup::record_error(std::exception_ptr error) {
-  failed_.store(true, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   if (!error_) {
     error_ = std::move(error);

@@ -1,25 +1,19 @@
 // ngsx/exec/pool.h
 //
-// Work-stealing thread pool: the shared execution engine behind the
-// dynamic-schedule converters, the parallel BGZF writer and the NL-means
-// tile scheduler (see docs/EXEC.md).
+// Thread pool: the shared execution engine behind the dynamic-schedule
+// converters, the preprocessor, the parallel BGZF reader and writer, and
+// the serving scheduler (see docs/EXEC.md).
 //
-// Every worker owns a Chase–Lev deque; tasks spawned *from* a worker go to
-// its own deque (LIFO, cache-hot), tasks submitted from outside go to a
-// global injector queue. An idle worker pops its own deque, then the
-// injector, then steals from random victims — so skewed workloads
-// rebalance automatically instead of leaving cores idle behind a static
-// partition (the sequential bottleneck the paper is about, applied to
-// scheduling).
+// Every client hands the pool coarse work — long-lived pipeline workers
+// or one task per shard — so the pool is one mutex-guarded task queue
+// and one condition variable. Tasks submitted from outside join the back
+// of the queue; tasks spawned *from* a worker go to the front, so nested
+// spawn/wait runs depth-first.
 //
 //   exec::Pool pool(8);
 //   exec::TaskGroup g(pool);
 //   g.spawn([&] { work(); });     // exceptions propagate to wait()
 //   g.wait();
-//
-//   exec::parallel_for(pool, 0, n, /*grain=*/0, [&](uint64_t b, uint64_t e) {
-//     for (uint64_t i = b; i < e; ++i) body(i);
-//   });
 //
 // Shutdown is graceful: the destructor runs every task already submitted
 // (including tasks those tasks spawn) before joining the workers.
@@ -31,12 +25,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "exec/deque.h"
 #include "util/common.h"
 
 namespace ngsx::exec {
@@ -83,22 +75,20 @@ class Pool {
     TaskGroup* group = nullptr;  // null for detached submits
   };
 
-  void submit_task(Task* task);
-  /// Runs one task if any is available to this thread; false otherwise.
-  /// Used by workers and by TaskGroup::wait() when called on a worker
-  /// (help-first waiting, so nested spawns cannot deadlock the pool).
+  void push(Task task);
+  /// Runs one queued task; false when the queue is empty. Used by
+  /// TaskGroup::wait() on a worker (help-first waiting, so nested spawns
+  /// cannot deadlock the pool).
   bool try_run_one();
-  Task* find_task();
-  void run_task(Task* task);
+  Task pop_front();  // caller holds mu_ and the queue is non-empty
+  void run_task(Task task);
   void worker_main(int index);
 
   int n_threads_ = 0;
-  std::vector<std::unique_ptr<StealDeque<Task*>>> deques_;
-  std::deque<Task*> injector_;           // guarded by inj_mu_
-  std::mutex inj_mu_;
-  std::condition_variable wake_cv_;      // idle workers park here
-  std::atomic<bool> stop_{false};
-  std::atomic<int64_t> pending_{0};      // submitted, not yet finished
+  std::mutex mu_;
+  std::condition_variable wake_cv_;  // idle workers sleep here
+  std::deque<Task> queue_;           // guarded by mu_
+  bool stop_ = false;                // guarded by mu_
   std::vector<std::thread> workers_;
 };
 
@@ -123,11 +113,6 @@ class TaskGroup {
   /// executes queued tasks while waiting instead of blocking the worker.
   void wait();
 
-  /// True once any task in the group has thrown. Cooperative-cancellation
-  /// signal: long-running siblings (parallel_for pumps) poll it to stop
-  /// claiming new work once the loop's outcome is already an error.
-  bool failed() const { return failed_.load(std::memory_order_relaxed); }
-
  private:
   friend class Pool;
 
@@ -136,56 +121,9 @@ class TaskGroup {
 
   Pool& pool_;
   std::atomic<int64_t> outstanding_{0};
-  std::atomic<bool> failed_{false};
   std::mutex mu_;
   std::condition_variable cv_;
   std::exception_ptr error_;  // first failure; guarded by mu_
 };
-
-/// Dynamic-schedule parallel loop over [begin, end): chunks of `grain`
-/// iterations are claimed from a shared counter by up to pool.size()
-/// workers, so late chunks land on whichever worker is free — the
-/// work-stealing analogue of `schedule(dynamic)`. `grain == 0` picks
-/// ~8 chunks per worker. `body(chunk_begin, chunk_end)` must be safe to
-/// run concurrently for disjoint chunks. Exceptions propagate.
-template <typename Body>
-void parallel_for(Pool& pool, uint64_t begin, uint64_t end, uint64_t grain,
-                  Body&& body) {
-  if (begin >= end) {
-    return;
-  }
-  const uint64_t n = end - begin;
-  if (grain == 0) {
-    grain = std::max<uint64_t>(
-        1, n / (8 * static_cast<uint64_t>(pool.size())));
-  }
-  const uint64_t n_chunks = (n + grain - 1) / grain;
-  if (n_chunks == 1 || pool.size() == 1) {
-    for (uint64_t at = begin; at < end; at += grain) {
-      body(at, std::min(end, at + grain));
-    }
-    return;
-  }
-  std::atomic<uint64_t> next{begin};
-  TaskGroup group(pool);
-  auto pump = [&next, &body, &group, end, grain] {
-    // Stop claiming chunks once a sibling has thrown: the loop's outcome
-    // is already that error, and grinding through the remaining range
-    // would only delay its propagation (or hit the same fault repeatedly).
-    while (!group.failed()) {
-      uint64_t at = next.fetch_add(grain, std::memory_order_relaxed);
-      if (at >= end) {
-        return;
-      }
-      body(at, std::min(end, at + grain));
-    }
-  };
-  const int n_workers =
-      static_cast<int>(std::min<uint64_t>(pool.size(), n_chunks));
-  for (int w = 0; w < n_workers; ++w) {
-    group.spawn(pump);
-  }
-  group.wait();
-}
 
 }  // namespace ngsx::exec

@@ -368,6 +368,17 @@ std::string reverse_complement(std::string_view seq) {
 
 // ----------------------------------------------------------------- Text line
 
+bool is_alignment_line(std::string_view line) {
+  if (strutil::trim(line).empty()) {
+    return false;
+  }
+  if (line[0] == '@') {
+    throw FormatError("SAM header line among alignment lines: '" +
+                      std::string(line) + "'");
+  }
+  return true;
+}
+
 void parse_record(std::string_view line, const SamHeader& header,
                   AlignmentRecord& out) {
   if (!line.empty() && line.back() == '\r') {
@@ -527,7 +538,7 @@ bool SamFileReader::next(AlignmentRecord& out) {
           std::string_view line(buffer_.data() + buffer_pos_,
                                 buffer_.size() - buffer_pos_);
           buffer_pos_ = buffer_.size();
-          if (strutil::trim(line).empty()) {
+          if (!is_alignment_line(line)) {
             return false;
           }
           parse_record(line, header_, out);
@@ -542,7 +553,7 @@ bool SamFileReader::next(AlignmentRecord& out) {
     }
     std::string_view line(buffer_.data() + buffer_pos_, nl - buffer_pos_);
     buffer_pos_ = nl + 1;
-    if (strutil::trim(line).empty()) {
+    if (!is_alignment_line(line)) {
       continue;
     }
     parse_record(line, header_, out);

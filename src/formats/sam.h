@@ -202,6 +202,12 @@ struct AlignmentRecord {
 // Text codec.
 // ---------------------------------------------------------------------------
 
+/// The one body-line rule every SAM reader applies after the header:
+/// false for a whitespace-only line (skipped), true for a line to hand to
+/// parse_record. A header line ('@') after the header is a FormatError:
+/// SAM header lines must precede every alignment.
+bool is_alignment_line(std::string_view line);
+
 /// Parses one alignment line (no trailing newline) into `out`.
 /// Throws FormatError on malformed input or unknown reference names.
 void parse_record(std::string_view line, const SamHeader& header,

@@ -193,7 +193,9 @@ class Comm {
     NGSX_CHECK_MSG(payload.size() % sizeof(T) == 0,
                    "typed recv size not a multiple of element size");
     std::vector<T> v(payload.size() / sizeof(T));
-    __builtin_memcpy(v.data(), payload.data(), payload.size());
+    if (!payload.empty()) {  // an empty vector's data() may be null
+      __builtin_memcpy(v.data(), payload.data(), payload.size());
+    }
     return v;
   }
 
@@ -268,7 +270,9 @@ class Comm {
     for (const auto& p : parts) {
       NGSX_CHECK(p.size() % sizeof(T) == 0);
       std::vector<T> v(p.size() / sizeof(T));
-      __builtin_memcpy(v.data(), p.data(), p.size());
+      if (!p.empty()) {
+        __builtin_memcpy(v.data(), p.data(), p.size());
+      }
       out.push_back(std::move(v));
     }
     return out;

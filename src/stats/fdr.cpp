@@ -223,17 +223,18 @@ FdrResult fdr_parallel_two_pass(std::span<const double> histogram,
   return result;
 }
 
-int select_threshold(std::span<const double> histogram,
-                     const SimulationSet& sims, double target_fdr) {
+Threshold select_threshold(std::span<const double> histogram,
+                           const SimulationSet& sims, double target_fdr,
+                           int ranks) {
   validate(histogram, sims);
   const int b_count = static_cast<int>(sims.size());
 
   // M == 0: every denominator is zero at every threshold (the denominator
   // at p_t = B counts all M bins, so it is the largest), and an FDR with
   // no candidate bins is vacuously within any non-negative target. Report
-  // the smallest threshold instead of the old "nothing qualifies" -1.
+  // the smallest threshold instead of "nothing qualifies".
   if (histogram.empty()) {
-    return target_fdr >= 0.0 ? 0 : -1;
+    return target_fdr >= 0.0 ? Threshold{0, 0.0} : Threshold{};
   }
 
   // p_t = 0: the numerator is structurally zero — every simulated value is
@@ -252,17 +253,18 @@ int select_threshold(std::span<const double> histogram,
       }
     }
     if (denom > 0 && 0.0 <= target_fdr) {
-      return 0;
+      return Threshold{0, 0.0};
     }
   }
 
   for (int p_t = 1; p_t <= b_count; ++p_t) {
-    FdrResult res = fdr_fused(histogram, sims, p_t);
+    FdrResult res = ranks > 1 ? fdr_parallel(histogram, sims, p_t, ranks)
+                              : fdr_fused(histogram, sims, p_t);
     if (res.denominator > 0 && res.fdr <= target_fdr) {
-      return p_t;
+      return Threshold{p_t, res.fdr};
     }
   }
-  return -1;
+  return Threshold{};
 }
 
 }  // namespace ngsx::stats

@@ -56,9 +56,17 @@ FdrResult fdr_parallel_two_pass(std::span<const double> histogram,
                                 const SimulationSet& sims, int p_t,
                                 int ranks);
 
+/// Outcome of the threshold sweep.
+struct Threshold {
+  int p_t = -1;      // smallest qualifying threshold; -1 when none does
+  double fdr = 0.0;  // FDR(p_t)
+};
+
 /// Sweeps FDR over thresholds 0..B and returns the smallest p_t whose FDR
 /// is <= `target_fdr` with a non-zero denominator (the procedure's end
-/// use: threshold selection). Returns -1 when no threshold qualifies.
+/// use: threshold selection). Thresholds p_t >= 1 are evaluated with
+/// fdr_parallel at `ranks` width when ranks > 1, else with fdr_fused (the
+/// variants return equal values, so the width never changes the result).
 ///
 /// Edge contracts:
 ///  * p_t = 0 is decided by a denominator-only Theta(M B) scan — the
@@ -68,8 +76,9 @@ FdrResult fdr_parallel_two_pass(std::span<const double> histogram,
 ///  * An empty histogram (M = 0) is the one input whose denominator is
 ///    zero at *every* threshold (the p_t = B denominator counts all M
 ///    bins). The target is then vacuously met: the sweep returns 0 for any
-///    target_fdr >= 0 rather than the old -1.
-int select_threshold(std::span<const double> histogram,
-                     const SimulationSet& sims, double target_fdr);
+///    target_fdr >= 0 rather than -1.
+Threshold select_threshold(std::span<const double> histogram,
+                           const SimulationSet& sims, double target_fdr,
+                           int ranks = 1);
 
 }  // namespace ngsx::stats

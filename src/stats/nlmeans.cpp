@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/partition.h"
-#include "exec/pool.h"
 #include "mpi/minimpi.h"
 #include "util/common.h"
 
@@ -178,23 +177,6 @@ std::vector<double> nlmeans_parallel(std::span<const double> data,
     }
   });
   return result;
-}
-
-std::vector<double> nlmeans_parallel_pool(std::span<const double> data,
-                                          const NlMeansParams& params,
-                                          int threads, size_t tile) {
-  NGSX_CHECK_MSG(threads >= 1, "threads must be >= 1");
-  std::vector<double> out(data.size());
-  if (data.empty()) {
-    return out;
-  }
-  exec::Pool pool(threads);
-  exec::parallel_for(
-      pool, 0, data.size(), tile, [&](uint64_t lo, uint64_t hi) {
-        nlmeans_range(data, lo, hi, params,
-                      std::span<double>(out.data() + lo, hi - lo));
-      });
-  return out;
 }
 
 }  // namespace ngsx::stats

@@ -49,13 +49,4 @@ void nlmeans_range(std::span<const double> data, size_t begin, size_t end,
 std::vector<double> nlmeans_parallel(std::span<const double> data,
                                      const NlMeansParams& params, int ranks);
 
-/// Shared-memory variant on the exec work-stealing pool: the histogram is
-/// cut into `tile`-bin tiles claimed dynamically (exec::parallel_for), so
-/// unevenly expensive regions rebalance instead of pinning one thread;
-/// all threads share the array, so no halo is needed. `tile == 0` picks
-/// ~8 tiles per worker. Bit-identical to the sequential result.
-std::vector<double> nlmeans_parallel_pool(std::span<const double> data,
-                                          const NlMeansParams& params,
-                                          int threads, size_t tile = 0);
-
 }  // namespace ngsx::stats

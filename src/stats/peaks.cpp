@@ -75,19 +75,11 @@ PeakCallResult call_peaks(std::span<const double> histogram,
   }
 
   // Threshold selection: smallest p_t whose FDR meets the target,
-  // evaluated with the parallel Algorithm 2.
-  const int b_count = static_cast<int>(sims.size());
-  for (int p_t = 0; p_t <= b_count; ++p_t) {
-    FdrResult fdr = params.ranks > 1
-                        ? fdr_parallel(result.denoised, sims, p_t,
-                                       params.ranks)
-                        : fdr_fused(result.denoised, sims, p_t);
-    if (fdr.denominator > 0 && fdr.fdr <= params.target_fdr) {
-      result.p_t = p_t;
-      result.fdr = fdr.fdr;
-      break;
-    }
-  }
+  // evaluated with the parallel Algorithm 2 at the pipeline's width.
+  const Threshold threshold = select_threshold(
+      result.denoised, sims, params.target_fdr, params.ranks);
+  result.p_t = threshold.p_t;
+  result.fdr = threshold.fdr;
   if (result.p_t < 0) {
     return result;
   }

@@ -53,8 +53,9 @@ struct PeakCallResult {
   std::vector<EnrichedRegion> regions;
 };
 
-/// Denoise (parallel NL-means) -> select p_t by FDR sweep -> call regions.
-/// If no threshold achieves `target_fdr`, returns p_t = -1 and no regions.
+/// Denoise (parallel NL-means) -> select p_t by FDR sweep (select_threshold,
+/// with its edge contracts) -> call regions. If no threshold achieves
+/// `target_fdr`, returns p_t = -1 and no regions.
 PeakCallResult call_peaks(std::span<const double> histogram,
                           const SimulationSet& sims,
                           const PeakCallParams& params);

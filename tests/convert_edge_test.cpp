@@ -245,5 +245,68 @@ TEST(ConvertEdge, InvalidRankCountRejected) {
   EXPECT_THROW(convert_sam(path, tmp.subdir("o"), options), Error);
 }
 
+/// Records the SamFileReader yields from `path`, or -1 on FormatError.
+int64_t sam_reader_outcome(const std::string& path) {
+  try {
+    sam::SamFileReader reader(path);
+    AlignmentRecord rec;
+    int64_t n = 0;
+    while (reader.next(rec)) {
+      ++n;
+    }
+    return n;
+  } catch (const FormatError&) {
+    return -1;
+  }
+}
+
+/// Records convert_sam converts from `path`, or -1 on FormatError.
+int64_t convert_sam_outcome(const std::string& path,
+                            const std::string& out_dir, int ranks,
+                            Schedule schedule) {
+  ConvertOptions options;
+  options.format = TargetFormat::kBed;
+  options.ranks = ranks;
+  options.schedule = schedule;
+  try {
+    return static_cast<int64_t>(
+        convert_sam(path, out_dir, options).records_in);
+  } catch (const FormatError&) {
+    return -1;
+  }
+}
+
+TEST(ConvertEdge, SamReadersShareOneBodyLineRule) {
+  // Every SAM reader applies sam::is_alignment_line: a whitespace-only
+  // body line is skipped, a header line after the first alignment is a
+  // FormatError. The parallel converter and the sequential reader must
+  // accept and reject exactly the same files.
+  TempDir tmp;
+  const std::string r1 = "r1\t0\tchr1\t100\t60\t10M\t*\t0\t0\tACGTACGTAC\t"
+                         "IIIIIIIIII\n";
+  const std::string r2 = "r2\t0\tchr1\t200\t60\t10M\t*\t0\t0\tACGTACGTAC\t"
+                         "IIIIIIIIII\n";
+  const std::string blank = tmp.file("blank.sam");
+  write_file(blank, edge_header().text() + r1 + " \t \r\n" + r2);
+  const std::string stray = tmp.file("stray.sam");
+  write_file(stray, edge_header().text() + r1 + "@CO\tlate comment\n" + r2);
+
+  EXPECT_EQ(sam_reader_outcome(blank), 2);
+  EXPECT_EQ(sam_reader_outcome(stray), -1);
+  int run = 0;
+  for (int ranks : {1, 2}) {
+    for (Schedule schedule : {Schedule::kStatic, Schedule::kDynamic}) {
+      for (const std::string& path : {blank, stray}) {
+        EXPECT_EQ(convert_sam_outcome(path,
+                                      tmp.subdir("o" + std::to_string(run++)),
+                                      ranks, schedule),
+                  sam_reader_outcome(path))
+            << path << " ranks=" << ranks << " "
+            << schedule_name(schedule);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ngsx::core

@@ -1,66 +1,27 @@
-// Unit tests for the exec execution engine: work-stealing pool semantics
-// (submit/wait, exception propagation, nesting), bounded channel
-// (backpressure, close/drain), dynamic parallel_for (sum property), the
-// ordered pipeline (ticket order, error propagation), and the pool-backed
-// NL-means tile scheduler.
+// Unit tests for the exec execution engine: pool semantics (submit/wait,
+// exception propagation, nesting, queue order), bounded channel
+// (backpressure, close/drain), the ordered pipeline (ticket order, error
+// propagation) and the serial stage.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "exec/channel.h"
-#include "exec/deque.h"
 #include "exec/pipeline.h"
 #include "exec/pool.h"
 #include "exec/serial.h"
-#include "stats/nlmeans.h"
 #include "util/rng.h"
 
 namespace ngsx::exec {
 namespace {
 
 TEST(HardwareThreads, AtLeastOne) { EXPECT_GE(hardware_threads(), 1); }
-
-// ----------------------------------------------------------------- deque
-
-TEST(StealDeque, OwnerLifoThiefFifo) {
-  StealDeque<int*> dq;
-  int vals[4] = {0, 1, 2, 3};
-  for (int& v : vals) {
-    dq.push(&v);
-  }
-  int* got = nullptr;
-  ASSERT_TRUE(dq.steal(got));
-  EXPECT_EQ(got, &vals[0]);  // thief takes the oldest
-  ASSERT_TRUE(dq.pop(got));
-  EXPECT_EQ(got, &vals[3]);  // owner takes the newest
-  ASSERT_TRUE(dq.pop(got));
-  EXPECT_EQ(got, &vals[2]);
-  ASSERT_TRUE(dq.steal(got));
-  EXPECT_EQ(got, &vals[1]);
-  EXPECT_FALSE(dq.pop(got));
-  EXPECT_FALSE(dq.steal(got));
-}
-
-TEST(StealDeque, GrowsPastInitialCapacity) {
-  StealDeque<size_t*> dq(2);
-  std::vector<size_t> vals(1000);
-  for (size_t i = 0; i < vals.size(); ++i) {
-    vals[i] = i;
-    dq.push(&vals[i]);
-  }
-  EXPECT_EQ(dq.size_estimate(), 1000);
-  size_t* got = nullptr;
-  for (size_t i = 0; i < vals.size(); ++i) {
-    ASSERT_TRUE(dq.steal(got));
-    EXPECT_EQ(*got, i);
-  }
-  EXPECT_FALSE(dq.steal(got));
-}
 
 // ------------------------------------------------------------------ pool
 
@@ -120,6 +81,46 @@ TEST(Pool, NestedSpawnFromWorkerDoesNotDeadlock) {
   }
   outer.wait();
   EXPECT_EQ(leaves.load(), 32);
+}
+
+TEST(Pool, ExternalSubmitsRunInOrder) {
+  // Tasks from outside the pool join the back of the queue: a 1-worker
+  // pool runs them in submission order.
+  Pool pool(1);
+  std::mutex mu;
+  std::vector<int> order;
+  Channel<int> gate(1);
+  TaskGroup group(pool);
+  group.spawn([&gate] {
+    gate.pop();  // hold the only worker until all tasks are queued
+  });
+  for (int i = 0; i < 5; ++i) {
+    group.spawn([&, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+    });
+  }
+  gate.push(1);
+  group.wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Pool, WorkerSpawnsRunDepthFirst) {
+  // Tasks spawned on a worker go to the queue front, so a waiting worker
+  // runs the newest spawn first and nested spawn/wait stays depth-first.
+  Pool pool(1);
+  std::vector<int> order;  // only the single worker touches it
+  TaskGroup outer(pool);
+  outer.spawn([&] {
+    TaskGroup inner(pool);
+    for (int i = 0; i < 4; ++i) {
+      inner.spawn([&order, i] { order.push_back(i); });
+    }
+    inner.wait();
+    order.push_back(-1);
+  });
+  outer.wait();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0, -1}));
 }
 
 TEST(Pool, WorkerIndexVisibleInsideTasks) {
@@ -299,49 +300,6 @@ TEST(Channel, ConcurrentProducersDrainCompletelyAfterClose) {
   consumer.join();
   EXPECT_EQ(accepted.load() + rejected.load(), 4 * 64);
   EXPECT_EQ(received.load(), accepted.load());  // drained, nothing lost
-}
-
-// ----------------------------------------------------------- parallel_for
-
-TEST(ParallelFor, SumProperty) {
-  Pool pool(4);
-  for (uint64_t n : {0ull, 1ull, 7ull, 1000ull, 12345ull}) {
-    for (uint64_t grain : {0ull, 1ull, 16ull, 1000ull}) {
-      std::atomic<uint64_t> sum{0};
-      parallel_for(pool, 0, n, grain, [&](uint64_t lo, uint64_t hi) {
-        uint64_t local = 0;
-        for (uint64_t i = lo; i < hi; ++i) {
-          local += i;
-        }
-        sum.fetch_add(local);
-      });
-      EXPECT_EQ(sum.load(), n * (n - 1) / 2) << "n=" << n << " g=" << grain;
-    }
-  }
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  Pool pool(3);
-  std::vector<std::atomic<int>> hits(997);
-  parallel_for(pool, 0, hits.size(), 10, [&](uint64_t lo, uint64_t hi) {
-    for (uint64_t i = lo; i < hi; ++i) {
-      hits[i].fetch_add(1);
-    }
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelFor, ExceptionPropagates) {
-  Pool pool(2);
-  EXPECT_THROW(parallel_for(pool, 0, 1000, 10,
-                            [&](uint64_t lo, uint64_t) {
-                              if (lo >= 500) {
-                                throw FormatError("bad tile");
-                              }
-                            }),
-               FormatError);
 }
 
 // -------------------------------------------------------------- pipeline
@@ -540,37 +498,6 @@ TEST(SerialStage, FinishIsIdempotentAndSubmitAfterFinishThrows) {
   stage.finish();
   EXPECT_EQ(ran, 1);
   EXPECT_THROW(stage.submit([] {}), UsageError);
-}
-
-// ------------------------------------------------- nlmeans pool scheduler
-
-TEST(NlmeansPool, MatchesSequential) {
-  Rng rng(99);
-  std::vector<double> data(1500);
-  for (auto& v : data) {
-    v = static_cast<double>(rng.below(1000)) / 10.0;
-  }
-  stats::NlMeansParams params;
-  params.r = 8;
-  params.l = 5;
-  params.sigma = 4.0;
-  const std::vector<double> expected = stats::nlmeans(data, params);
-  for (int threads : {1, 2, 4}) {
-    for (size_t tile : {size_t{0}, size_t{1}, size_t{37}, size_t{4000}}) {
-      std::vector<double> got =
-          stats::nlmeans_parallel_pool(data, params, threads, tile);
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], expected[i]) << "bit-exact at bin " << i;
-      }
-    }
-  }
-}
-
-TEST(NlmeansPool, EmptyInput) {
-  stats::NlMeansParams params;
-  EXPECT_TRUE(
-      stats::nlmeans_parallel_pool(std::vector<double>{}, params, 4).empty());
 }
 
 }  // namespace

@@ -154,5 +154,52 @@ TEST(CallPeaks, ImpossibleTargetReturnsNone) {
   EXPECT_TRUE(result.regions.empty());
 }
 
+TEST(CallPeaks, ThresholdMatchesSelectThresholdAtEveryWidth) {
+  // call_peaks selects its threshold through select_threshold, so the two
+  // agree on every input, including the empty-histogram and p_t = 0 edge
+  // contracts, whether thresholds run sequentially or on 4 ranks.
+  constexpr size_t kNulls = 12;
+  simdata::HistSimConfig cfg;
+  cfg.seed = 31;
+  const SimulationSet nulls =
+      simdata::simulate_null_batch(2000, kNulls, cfg.background_rate, 32);
+  struct Input {
+    const char* name;
+    std::vector<double> hist;
+    SimulationSet sims;
+  };
+  const std::vector<Input> inputs = {
+      {"empty", {}, SimulationSet(kNulls)},
+      {"all-zero", std::vector<double>(2000, 0.0), nulls},
+      {"histsim", simdata::simulate_histogram(2000, cfg), nulls},
+  };
+  for (const Input& in : inputs) {
+    for (double target : {0.05, 1.0}) {
+      const Threshold expected = select_threshold(in.hist, in.sims, target);
+      for (int ranks : {1, 4}) {
+        PeakCallParams params;
+        params.denoise = false;
+        params.target_fdr = target;
+        params.ranks = ranks;
+        const PeakCallResult result = call_peaks(in.hist, in.sims, params);
+        const Threshold at_width =
+            select_threshold(in.hist, in.sims, target, ranks);
+        EXPECT_EQ(result.p_t, expected.p_t)
+            << in.name << " target=" << target << " ranks=" << ranks;
+        EXPECT_EQ(at_width.p_t, expected.p_t) << in.name << " ranks=" << ranks;
+        EXPECT_DOUBLE_EQ(result.fdr, expected.fdr) << in.name;
+        EXPECT_DOUBLE_EQ(at_width.fdr, expected.fdr) << in.name;
+      }
+    }
+  }
+  // The edge contracts themselves: an empty histogram meets any
+  // non-negative target at p_t = 0; an all-zero one only at p_t = B.
+  EXPECT_EQ(select_threshold(inputs[0].hist, inputs[0].sims, 0.05).p_t, 0);
+  EXPECT_EQ(select_threshold(inputs[1].hist, inputs[1].sims, 0.05).p_t, -1);
+  EXPECT_EQ(select_threshold(inputs[1].hist, inputs[1].sims, 1.0).p_t,
+            static_cast<int>(kNulls));
+  EXPECT_GT(select_threshold(inputs[2].hist, inputs[2].sims, 0.05).p_t, -1);
+}
+
 }  // namespace
 }  // namespace ngsx::stats

@@ -403,7 +403,7 @@ TEST(Fdr, PeakyHistogramHasLowFdrAtStrictThreshold) {
 
 TEST(Fdr, SelectThresholdFindsQualifyingPt) {
   FdrFixture f(/*m=*/1500, /*b=*/16, /*seed=*/10);
-  int p_t = select_threshold(f.hist, f.sims, 0.2);
+  int p_t = select_threshold(f.hist, f.sims, 0.2).p_t;
   ASSERT_GE(p_t, 0);
   FdrResult at = fdr_fused(f.hist, f.sims, p_t);
   EXPECT_LE(at.fdr, 0.2);
@@ -417,7 +417,7 @@ TEST(Fdr, SelectThresholdPtZeroIsExactlyZeroFdr) {
   // a target of 0.0.
   std::vector<double> hist = {100, 100};
   SimulationSet sims = {{1, 1}, {2, 2}};
-  EXPECT_EQ(select_threshold(hist, sims, 0.0), 0);
+  EXPECT_EQ(select_threshold(hist, sims, 0.0).p_t, 0);
   FdrResult at = fdr_reference(hist, sims, 0);
   EXPECT_DOUBLE_EQ(at.numerator, 0.0);
   EXPECT_DOUBLE_EQ(at.fdr, 0.0);
@@ -437,7 +437,7 @@ TEST(Fdr, SelectThresholdMatchesReferenceSweep) {
         break;
       }
     }
-    EXPECT_EQ(select_threshold(f.hist, f.sims, target), naive)
+    EXPECT_EQ(select_threshold(f.hist, f.sims, target).p_t, naive)
         << "target=" << target;
   }
 }
@@ -449,9 +449,9 @@ TEST(Fdr, SelectThresholdEmptyHistogram) {
   // ("nothing qualifies") even for a trivially satisfiable target.
   std::vector<double> hist;
   SimulationSet sims = {{}, {}};
-  EXPECT_EQ(select_threshold(hist, sims, 0.0), 0);
-  EXPECT_EQ(select_threshold(hist, sims, 0.5), 0);
-  EXPECT_EQ(select_threshold(hist, sims, -0.1), -1);
+  EXPECT_EQ(select_threshold(hist, sims, 0.0).p_t, 0);
+  EXPECT_EQ(select_threshold(hist, sims, 0.5).p_t, 0);
+  EXPECT_EQ(select_threshold(hist, sims, -0.1).p_t, -1);
 }
 
 TEST(Fdr, SelectThresholdReturnsMinusOneWhenImpossible) {
@@ -463,7 +463,7 @@ TEST(Fdr, SelectThresholdReturnsMinusOneWhenImpossible) {
   for (int b = 0; b < 4; ++b) {
     sims.push_back(std::vector<double>(50, 5.0 + b));
   }
-  EXPECT_EQ(select_threshold(hist, sims, -0.1), -1);
+  EXPECT_EQ(select_threshold(hist, sims, -0.1).p_t, -1);
 }
 
 }  // namespace
