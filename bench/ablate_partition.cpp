@@ -1,30 +1,14 @@
-// Ablation: Algorithm 1's two boundary-adjustment implementations (§III-A),
-// plus static vs dynamic chunk scheduling on a skewed input.
+// Ablation: Algorithm 1's two boundary-adjustment implementations (§III-A).
 //
-// Part 1 — the paper describes a forward variant (ranks 1..N-1 scan forward
-// for the first line breaker, send their new start back) and a backward
-// variant (ranks 0..N-2 scan backward, send their new end forward) and
-// picks the forward one. This harness measures both on a real generated
-// SAM file: scan cost, balance of the induced partitions, and the (tiny)
-// share of total conversion time partitioning represents.
-//
-// Part 2 — Algorithm 1 balances *bytes*, not *work*: a chromosome packed
-// with short reads holds several times more records (and parse cost) per
-// byte than the rest of the file, so the static schedule's rank covering
-// it becomes the straggler. We build exactly that input (chr1 hot with
-// short reads, everything else long reads), measure real per-chunk
-// conversion costs, and compare the static makespan (each rank runs its
-// own range) against the dynamic one (chunks claimed by the next free
-// worker, as ConvertOptions{schedule=kDynamic} does on an exec::Pool) at
-// the paper's core counts — the same measured-costs-into-simulated-cluster
-// recipe as the other harnesses, since this container cannot time real
-// multi-core speedups. Real static and dynamic runs are also executed and
-// their part files checked byte-identical. Results go to stdout and, as
-// JSON, to --json PATH.
+// The paper describes a forward variant (ranks 1..N-1 scan forward for the
+// first line breaker, send their new start back) and a backward variant
+// (ranks 0..N-2 scan backward, send their new end forward) and picks the
+// forward one. This harness measures both on a real generated SAM file:
+// scan cost, balance of the induced partitions, and the (tiny) share of
+// total conversion time partitioning represents.
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "bench_util.h"
 #include "core/convert.h"
@@ -35,57 +19,6 @@
 #include "util/timer.h"
 
 using namespace ngsx;
-
-namespace {
-
-/// Writes a SAM whose chr1 records come from a short-read library and the
-/// remaining chromosomes from a long-read one: ~the same bytes per
-/// chromosome as an even simulation, but chr1 costs several times more to
-/// parse per byte (more records, more per-record overhead).
-std::vector<sam::AlignmentRecord> skewed_records(
-    const simdata::ReferenceGenome& genome, uint64_t pairs, uint64_t seed) {
-  simdata::ReadSimConfig hot;
-  hot.seed = seed;
-  hot.read_length = 40;  // simulator minimum; ~4x the records/byte of cold
-  simdata::ReadSimConfig cold;
-  cold.seed = seed + 1;
-  cold.read_length = 150;
-  std::vector<sam::AlignmentRecord> records;
-  // Oversample the short-read library so chr1 reaches a byte share similar
-  // to its genome share despite each record being small.
-  for (const auto& rec : simdata::simulate_alignments(genome, pairs * 2, hot)) {
-    if (rec.ref_id == 0) {
-      records.push_back(rec);
-    }
-  }
-  for (const auto& rec : simdata::simulate_alignments(genome, pairs, cold)) {
-    if (rec.ref_id != 0) {
-      records.push_back(rec);
-    }
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const sam::AlignmentRecord& a,
-                      const sam::AlignmentRecord& b) {
-                     uint32_t ra = a.ref_id < 0 ? ~0u
-                                                : static_cast<uint32_t>(a.ref_id);
-                     uint32_t rb = b.ref_id < 0 ? ~0u
-                                                : static_cast<uint32_t>(b.ref_id);
-                     return ra != rb ? ra < rb : a.pos < b.pos;
-                   });
-  return records;
-}
-
-/// Greedy list schedule: chunks assigned in order to the earliest-free
-/// worker (what dynamic chunk claiming converges to); returns the makespan.
-double dynamic_makespan(const std::vector<double>& costs, int workers) {
-  std::vector<double> busy(static_cast<size_t>(workers), 0.0);
-  for (double c : costs) {
-    *std::min_element(busy.begin(), busy.end()) += c;
-  }
-  return *std::max_element(busy.begin(), busy.end());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
@@ -130,7 +63,7 @@ int main(int argc, char** argv) {
   options.format = core::TargetFormat::kBed;
   options.ranks = 8;
   WallTimer tc;
-  auto stats = core::convert_sam(sam_path, tmp.subdir("out"), options);
+  core::convert_sam(sam_path, tmp.subdir("out"), options);
   double convert_s = tc.seconds();
   WallTimer tp;
   core::partition_sam_forward(file, body, 8);
@@ -138,123 +71,5 @@ int main(int argc, char** argv) {
   std::printf("\npartitioning is %.4f%% of an 8-rank SAM->BED conversion "
               "(%.1f ms vs %.2f s)\n",
               100.0 * part_s / convert_s, part_s * 1e3, convert_s);
-  (void)stats;
-
-  // ------------------------------------------------------------------
-  // Part 2: static vs dynamic scheduling on a skewed input.
-  // ------------------------------------------------------------------
-  bench::print_header("Ablation: static vs dynamic chunk scheduling");
-  const uint64_t skew_pairs =
-      static_cast<uint64_t>(args.get_int("skew-pairs", 12000));
-  auto records = skewed_records(genome, skew_pairs, 91);
-  const std::string skew_path = tmp.file("skew.sam");
-  {
-    sam::SamFileWriter w(skew_path, genome.header());
-    for (const auto& rec : records) {
-      w.write(rec);
-    }
-    w.close();
-  }
-  InputFile skew_file(skew_path);
-  sam::SamFileReader skew_probe(skew_path);
-  const core::ByteRange skew_body{skew_probe.alignment_start_offset(),
-                                  file_size(skew_path)};
-
-  // Real runs: the two schedules must emit byte-identical part files.
-  core::ConvertOptions copt;
-  copt.format = core::TargetFormat::kBed;
-  copt.ranks = static_cast<int>(args.get_int("ranks", 8));
-  copt.schedule = core::Schedule::kStatic;
-  WallTimer ts;
-  auto st = core::convert_sam(skew_path, tmp.subdir("sched-static"), copt);
-  const double static_real_s = ts.seconds();
-  copt.schedule = core::Schedule::kDynamic;
-  WallTimer td;
-  auto dy = core::convert_sam(skew_path, tmp.subdir("sched-dynamic"), copt);
-  const double dynamic_real_s = td.seconds();
-  bool identical = st.outputs.size() == dy.outputs.size();
-  for (size_t i = 0; identical && i < st.outputs.size(); ++i) {
-    identical = read_file(st.outputs[i]) == read_file(dy.outputs[i]);
-  }
-  NGSX_CHECK_MSG(identical, "schedules diverged: part files differ");
-  std::printf("real %d-rank SAM->BED on this host: static %.3f s, "
-              "dynamic %.3f s, part files byte-identical\n",
-              copt.ranks, static_real_s, dynamic_real_s);
-
-  // Measured per-chunk costs: parse + convert each fine chunk for real.
-  const int n_fine = static_cast<int>(args.get_int("chunks", 256));
-  auto fine = core::partition_sam_forward(skew_file, skew_body, n_fine);
-  std::vector<double> costs;
-  costs.reserve(fine.size());
-  {
-    const sam::SamHeader& header = skew_probe.header();
-    sam::AlignmentRecord rec;
-    for (const auto& range : fine) {
-      // Chunk boundaries from Algorithm 1 are line-aligned, so the range
-      // is whole lines: parse + convert them exactly as the dynamic
-      // schedule's chunk worker does.
-      WallTimer t;
-      auto writer = core::make_target_writer(
-          core::TargetFormat::kBed, tmp.file("scratch.bed"), header, false);
-      std::string bytes = skew_file.read_at(
-          range.begin, static_cast<size_t>(range.size()));
-      size_t pos = 0;
-      while (pos < bytes.size()) {
-        size_t nl = bytes.find('\n', pos);
-        size_t end = nl == std::string::npos ? bytes.size() : nl;
-        if (end > pos && bytes[pos] != '@') {
-          sam::parse_record(
-              std::string_view(bytes.data() + pos, end - pos), header, rec);
-          writer->write(rec);
-        }
-        pos = end + 1;
-      }
-      writer->close();
-      costs.push_back(t.seconds());
-    }
-  }
-  const auto [cheap, dear] = std::minmax_element(costs.begin(), costs.end());
-  std::printf("%d measured chunks; per-chunk cost skew max/min = %.2fx\n",
-              n_fine, *dear / std::max(*cheap, 1e-9));
-
-  // Project makespans: static = each rank runs its contiguous chunk span;
-  // dynamic = chunks claimed in order by the next free worker.
-  std::printf("%6s %14s %15s %9s\n", "cores", "static (s)", "dynamic (s)",
-              "gain");
-  std::string json = "{\n  \"skew_pairs\": " + std::to_string(skew_pairs) +
-                     ",\n  \"chunks\": " + std::to_string(n_fine) +
-                     ",\n  \"real\": {\"ranks\": " + std::to_string(copt.ranks) +
-                     ", \"static_s\": " + std::to_string(static_real_s) +
-                     ", \"dynamic_s\": " + std::to_string(dynamic_real_s) +
-                     ", \"byte_identical\": true},\n  \"projection\": [";
-  bool first = true;
-  for (int cores : {2, 4, 8, 16, 32}) {
-    auto ranges = core::partition_sam_forward(skew_file, skew_body, cores);
-    std::vector<double> rank_cost(static_cast<size_t>(cores), 0.0);
-    for (size_t i = 0; i < fine.size(); ++i) {
-      // A fine chunk belongs to the static rank whose range contains it.
-      size_t r = 0;
-      while (r + 1 < ranges.size() && fine[i].begin >= ranges[r].end) {
-        ++r;
-      }
-      rank_cost[r] += costs[i];
-    }
-    const double static_s =
-        *std::max_element(rank_cost.begin(), rank_cost.end());
-    const double dynamic_s = dynamic_makespan(costs, cores);
-    std::printf("%6d %14.3f %15.3f %8.2fx\n", cores, static_s, dynamic_s,
-                static_s / dynamic_s);
-    json += std::string(first ? "" : ",") + "\n    {\"cores\": " +
-            std::to_string(cores) + ", \"static_s\": " +
-            std::to_string(static_s) + ", \"dynamic_s\": " +
-            std::to_string(dynamic_s) + "}";
-    first = false;
-  }
-  json += "\n  ]\n}\n";
-  const std::string json_path = args.get("json", "ablate_partition.json");
-  std::ofstream(json_path) << json;
-  std::printf("JSON written to %s\n", json_path.c_str());
-  bench::note("dynamic >= static everywhere: byte-balanced static ranges "
-              "leave the short-read chromosome's rank as the straggler");
   return 0;
 }

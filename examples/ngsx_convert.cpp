@@ -21,6 +21,9 @@
 // both are documented in docs/OBSERVABILITY.md. The per-stage summary on
 // stdout is derived from the same metrics, so only stages that actually
 // ran are listed.
+//
+// Exit status: 0 on success, 1 when the conversion fails, 2 on a usage
+// error (missing or unknown flag, bad flag value).
 
 #include <cstdio>
 
@@ -48,15 +51,15 @@ int usage(const char* prog) {
                "usage: %s --in FILE.{sam,bam} --to FORMAT --out DIR\n"
                "          [--ranks N] [--region chr:beg-end]\n"
                "          [--region-mode start|overlap]\n"
-               "          [--schedule static|dynamic] [--threads T]\n"
                "          [--decode-threads D] [--preprocess-threads P]\n"
                "          [--preprocess [--m M]]\n"
                "          [--no-header] [--metrics FILE.json]\n"
                "          [--metrics-interval SEC] [--trace FILE.json]\n"
                "FORMAT: sam bam bed bedgraph fasta fastq json yaml\n"
-               "--ranks 0 / --threads 0 / --decode-threads 0 auto-detect\n"
-               "the hardware width; --decode-threads sets the BGZF inflate\n"
-               "workers used while reading BAM input\n"
+               "--ranks N converts with N ranks, one part file each\n"
+               "--ranks 0 / --decode-threads 0 auto-detect the hardware\n"
+               "width; --decode-threads sets the BGZF inflate workers used\n"
+               "while reading BAM input\n"
                "--preprocess-threads sets the width of the single-pass BAM\n"
                "preprocessor (0 = auto, 1 = sequential), which emits a BAMXM\n"
                "shard manifest + BAIX next to the part files\n"
@@ -73,7 +76,8 @@ int usage(const char* prog) {
                "drop-dups (streaming duplicate marking). --collate-mem N\n"
                "caps in-memory records before spilling, --temp-dir DIR\n"
                "redirects spill runs, --no-orphans drops orphaned mates\n"
-               "from FASTQ export\n",
+               "from FASTQ export, --threads T sets the parse workers\n"
+               "(0 = auto)\n",
                prog);
   return 2;
 }
@@ -134,6 +138,23 @@ int main(int argc, char** argv) {
   const bool primary = !mpi::launched() || mpi::launched_rank() == 0;
 
   try {
+    args.reject_unknown({"in", "out", "to", "ranks", "region", "region-mode",
+                         "decode-threads", "preprocess-threads", "preprocess",
+                         "m", "no-header", "metrics", "metrics-interval",
+                         "trace", "collate", "collate-mem", "temp-dir",
+                         "no-orphans", "threads"});
+    if (args.has("threads") && !args.has("collate")) {
+      throw UsageError("--threads applies to --collate only; a conversion "
+                       "runs one part per rank (--ranks)");
+    }
+    // 0 = auto; the BGZF reader factory resolves it to the hardware
+    // width, so only the sign needs validating here.
+    const int64_t decode_request = args.get_int("decode-threads", 0);
+    if (decode_request < 0) {
+      throw UsageError("--decode-threads must be >= 0 (0 = auto)");
+    }
+    const int decode_threads = static_cast<int>(decode_request);
+
     // Metrics power the stage summary, so they are always on; tracing is
     // opt-in (it buffers every span until exit).
     const std::string metrics_path = args.get("metrics", "");
@@ -182,11 +203,7 @@ int main(int argc, char** argv) {
       if (collate_mem > 0) {
         copt.max_records_in_memory = static_cast<size_t>(collate_mem);
       }
-      const int64_t decode_request = args.get_int("decode-threads", 0);
-      if (decode_request < 0) {
-        throw UsageError("--decode-threads must be >= 0 (0 = auto)");
-      }
-      copt.decode_threads = static_cast<int>(decode_request);
+      copt.decode_threads = decode_threads;
       const int64_t parse_request = args.get_int("threads", 0);
       if (parse_request < 0) {
         throw UsageError("--threads must be >= 0 (0 = auto)");
@@ -259,20 +276,7 @@ int main(int argc, char** argv) {
             ? resolve_width("ranks", args.get_int("ranks", 0),
                             mpi::launched_size())
             : resolve_width("ranks", args.get_int("ranks", 4), auto_width);
-    options.schedule = core::parse_schedule(args.get("schedule", "static"));
-    if (args.has("threads")) {
-      // Absent: options.threads stays 0, meaning "pool width = ranks".
-      options.threads = resolve_width("threads", args.get_int("threads", 0),
-                                      auto_width);
-    }
     options.include_header = !args.get_bool("no-header", false);
-    // 0 = auto; the BGZF reader factory resolves it to the hardware
-    // width, so only the sign needs validating here.
-    const int64_t decode_request = args.get_int("decode-threads", 0);
-    if (decode_request < 0) {
-      throw UsageError("--decode-threads must be >= 0 (0 = auto)");
-    }
-    options.decode_threads = static_cast<int>(decode_request);
     const std::string region_text = args.get("region", "");
 
     const std::string region_mode_text = args.get("region-mode", "start");
@@ -308,7 +312,7 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(out);
       core::PreprocessOptions popt;
       popt.threads = static_cast<int>(preprocess_request);
-      popt.decode_threads = options.decode_threads;
+      popt.decode_threads = decode_threads;
       core::PreprocessStats pre;
       on_rank0(
           [&] { pre = core::preprocess_bam_parallel(in, bamx, baix, popt); });
@@ -396,6 +400,9 @@ int main(int argc, char** argv) {
       }
     }
     return 0;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -24,23 +24,6 @@ namespace ngsx::core {
 using sam::AlignmentRecord;
 using sam::SamHeader;
 
-// --------------------------------------------------------------- schedule
-
-Schedule parse_schedule(std::string_view name) {
-  if (name == "static") {
-    return Schedule::kStatic;
-  }
-  if (name == "dynamic") {
-    return Schedule::kDynamic;
-  }
-  throw UsageError("unknown schedule '" + std::string(name) +
-                   "' (expected static or dynamic)");
-}
-
-std::string_view schedule_name(Schedule schedule) {
-  return schedule == Schedule::kStatic ? "static" : "dynamic";
-}
-
 // ------------------------------------------------------------------- region
 
 Region parse_region(std::string_view text, const SamHeader& header) {
@@ -86,8 +69,11 @@ struct LocalStats {
   uint64_t bytes_out = 0;
 };
 
-/// The runtime's read buffer (Figure 2): iterates complete lines over a
-/// byte range of a file, reading `buffer_bytes` at a time.
+/// The runtime's read buffer per rank (Figure 2).
+constexpr size_t kReadBufferBytes = 4 << 20;
+
+/// Iterates complete lines over a byte range of a file, reading
+/// `buffer_bytes` at a time.
 class LineRangeReader {
  public:
   LineRangeReader(const InputFile& file, ByteRange range, size_t buffer_bytes)
@@ -227,21 +213,39 @@ struct Part {
   }
 };
 
-Part open_part(const std::string& out_dir, int part,
-               const ConvertOptions& options, const SamHeader& header) {
-  return Part{make_target_writer(options.format,
-                                 part_path(out_dir, part, options.format),
-                                 header, options.include_header),
-              {}};
-}
+// --------------------------------------------------------------- the driver
 
-/// Merges the per-part totals of a finished conversion. Part paths are a
-/// pure function of the part index, so they need no communication even
-/// when the ranks are separate processes.
-ConvertStats finish_conversion(const std::vector<LocalStats>& locals,
-                               const std::string& out_dir,
-                               const ConvertOptions& options,
-                               const WallTimer& timer) {
+/// The conversion driver, the paper's scheme: one mpi rank per part file.
+/// `fill` writes the rank's whole part and sets its bytes_in; ranks
+/// coordinate only inside `fill` (Algorithm 1's boundary exchange for SAM)
+/// and in the closing allgather of the per-part totals.
+ConvertStats run_static(const std::string& out_dir,
+                        const ConvertOptions& options, const SamHeader& header,
+                        const std::function<void(mpi::Comm&, Part&)>& fill) {
+  static_assert(std::is_trivially_copyable_v<LocalStats>);
+  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
+  WallTimer timer;
+  mpi::run(options.ranks, [&](mpi::Comm& comm) {
+    Part part{make_target_writer(
+                  options.format,
+                  part_path(out_dir, comm.rank(), options.format), header,
+                  options.include_header),
+              {}};
+    fill(comm, part);
+    part.close();
+    // Publishes every rank's totals into `locals` on every transport. Under
+    // threads one writer (rank 0) fills the shared vector; under shm/tcp
+    // each process owns a private copy, so every rank fills its own, which
+    // gives correct totals on all ranks of a launched world.
+    const std::vector<LocalStats> all =
+        comm.allgather_values<LocalStats>(part.stats);
+    if (comm.rank() == 0 || !mpi::ranks_share_address_space()) {
+      std::copy(all.begin(), all.end(), locals.begin());
+    }
+  });
+
+  // Part paths are a pure function of the part index, so they need no
+  // communication even when the ranks are separate processes.
   ConvertStats stats;
   for (size_t p = 0; p < locals.size(); ++p) {
     stats.records_in += locals[p].records_in;
@@ -256,134 +260,12 @@ ConvertStats finish_conversion(const std::vector<LocalStats>& locals,
   return stats;
 }
 
-/// Publishes every rank's LocalStats into the captured `locals` vector so
-/// the post-run merge works on every transport. Under threads one writer
-/// (rank 0) fills the shared vector; under shm/tcp each process owns a
-/// private copy of `locals`, so every rank fills its own — which is what
-/// makes the function return correct totals on all ranks of a launched
-/// world.
-void publish_locals(mpi::Comm& comm, const LocalStats& local,
-                    std::vector<LocalStats>& locals) {
-  static_assert(std::is_trivially_copyable_v<LocalStats>);
-  const std::vector<LocalStats> all =
-      comm.allgather_values<LocalStats>(local);
-  if (comm.rank() == 0 || !mpi::ranks_share_address_space()) {
-    std::copy(all.begin(), all.end(), locals.begin());
-  }
-}
-
-/// The dynamic schedule is a single-process thread-pool path (no ranks);
-/// under ngsx_mpirun every launched rank would run the whole conversion
-/// and race on the part files.
-void check_schedule_not_launched() {
-  if (mpi::launched()) {
-    throw UsageError(
-        "--schedule dynamic runs a single-process pool and cannot execute "
-        "inside an ngsx_mpirun world; use --schedule static");
-  }
-}
-
-// ------------------------------------------------------------- the drivers
-//
-// Every conversion runs on one of two drivers. Both write the same N part
-// files from the same per-part input ranges, so their output is
-// byte-identical; only the execution schedule differs.
-
-/// The static schedule (the paper's): one mpi rank per part file. `fill`
-/// writes the rank's whole part and sets its bytes_in; ranks coordinate
-/// only inside `fill` (Algorithm 1's boundary exchange for SAM).
-ConvertStats run_static(const std::string& out_dir,
-                        const ConvertOptions& options, const SamHeader& header,
-                        const std::function<void(mpi::Comm&, Part&)>& fill) {
-  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
-  WallTimer timer;
-  mpi::run(options.ranks, [&](mpi::Comm& comm) {
-    Part part = open_part(out_dir, comm.rank(), options, header);
-    fill(comm, part);
-    part.close();
-    publish_locals(comm, part.stats, locals);
-  });
-  return finish_conversion(locals, out_dir, options, timer);
-}
-
-/// One unit of dynamically-scheduled work: a slice of part `part`'s input,
-/// as a byte range (SAM) or a plan-entry range (BAMX).
-struct Chunk {
-  int part = 0;
-  uint64_t begin = 0;
-  uint64_t end = 0;
-};
-
-/// What the parallel parse stage hands to the ordered commit stage.
-struct ChunkResult {
-  std::vector<AlignmentRecord> records;
-  uint64_t bytes_in = 0;
-};
-
-/// The dynamic schedule: runs `chunks` (in global record order, grouped by
-/// part) through an exec::Pool ordered pipeline. `parse` runs on the pool
-/// with dynamic chunk claiming; the commit stage feeds each part's records,
-/// strictly in chunk order, into that part's writer.
-ConvertStats run_dynamic(
-    const std::vector<Chunk>& chunks, const std::string& out_dir,
-    const ConvertOptions& options, const SamHeader& header,
-    const std::function<ChunkResult(const Chunk&)>& parse) {
-  check_schedule_not_launched();
-  WallTimer timer;
-  const int pool_threads =
-      options.threads > 0 ? options.threads : options.ranks;
-  exec::Pool pool(pool_threads);
-
-  std::vector<LocalStats> locals(static_cast<size_t>(options.ranks));
-  Part part;
-  int current = -1;
-  // Makes `target` the open part. Parts skipped on the way hold no chunks;
-  // they still get their (possibly header-only) part file, exactly as a
-  // static rank would produce.
-  auto advance_to = [&](int target) {
-    while (current < target) {
-      if (current >= 0) {
-        part.close();
-        locals[static_cast<size_t>(current)] = part.stats;
-      }
-      part = open_part(out_dir, ++current, options, header);
-    }
-  };
-
-  size_t cursor = 0;
-  exec::PipelineOptions popt;
-  popt.workers = pool_threads;
-  exec::ordered_pipeline<Chunk, ChunkResult>(
-      pool,
-      [&](Chunk& chunk) {
-        if (cursor >= chunks.size()) {
-          return false;
-        }
-        chunk = chunks[cursor++];
-        return true;
-      },
-      [&](Chunk&& chunk, uint64_t) { return parse(chunk); },
-      [&](ChunkResult&& result, uint64_t ticket) {
-        // Tickets are issued in source order, so ticket == chunk index.
-        advance_to(chunks[static_cast<size_t>(ticket)].part);
-        part.stats.bytes_in += result.bytes_in;
-        for (const AlignmentRecord& rec : result.records) {
-          part.write(rec);
-        }
-      },
-      popt);
-  advance_to(options.ranks - 1);
-  part.close();
-  locals.back() = part.stats;
-  return finish_conversion(locals, out_dir, options, timer);
-}
-
 // ------------------------------------------------ the BAMX conversion executor
 
 /// Converts a plan: `plan` lists the record indices to emit, in order (a
 /// region plan), or is null for every record of the session's source. Each
-/// of the `options.ranks` parts gets an even share of the plan, which
-/// either driver fetches through the session, formats and writes.
+/// of the `options.ranks` parts gets an even share of the plan, which its
+/// rank fetches through the session, formats and writes.
 ConvertStats execute_plan(const ConversionSession& session,
                           const std::vector<uint64_t>* plan,
                           const std::string& out_dir,
@@ -392,32 +274,11 @@ ConvertStats execute_plan(const ConversionSession& session,
       plan != nullptr ? plan->size() : session.num_records();
   const uint64_t stride = session.stride();
   const auto shares = split_records(size, options.ranks);
-  if (options.schedule == Schedule::kDynamic) {
-    const uint64_t batch = std::max<uint64_t>(options.record_batch, 1);
-    std::vector<Chunk> chunks;
-    for (size_t p = 0; p < shares.size(); ++p) {
-      const auto [begin, end] = shares[p];
-      for (uint64_t at = begin; at < end; at += batch) {
-        chunks.push_back(
-            Chunk{static_cast<int>(p), at, std::min(end, at + batch)});
-      }
-    }
-    return run_dynamic(chunks, out_dir, options, session.header(),
-                       [&](const Chunk& chunk) {
-                         ChunkResult out;
-                         out.bytes_in = (chunk.end - chunk.begin) * stride;
-                         session.fetch(plan, chunk.begin, chunk.end, batch,
-                                       [&](AlignmentRecord& rec) {
-                                         out.records.push_back(std::move(rec));
-                                       });
-                         return out;
-                       });
-  }
   return run_static(
       out_dir, options, session.header(), [&](mpi::Comm& comm, Part& part) {
         const auto [begin, end] = shares[static_cast<size_t>(comm.rank())];
         part.stats.bytes_in = (end - begin) * stride;
-        session.fetch(plan, begin, end, options.record_batch,
+        session.fetch(plan, begin, end,
                       [&](AlignmentRecord& rec) { part.write(rec); });
       });
 }
@@ -678,38 +539,12 @@ ConvertStats convert_sam(const std::string& sam_path,
   auto [header, body_offset] = read_sam_header(sam_path);
   const ByteRange body{body_offset, ngsx::file_size(sam_path)};
 
-  if (options.schedule == Schedule::kDynamic) {
-    // Same part ranges as the static schedule (so part files are
-    // byte-identical), each subdivided into Algorithm-1 byte chunks
-    // claimed dynamically from the pool.
-    InputFile file(sam_path);
-    const auto parts = partition_sam_forward(file, body, options.ranks);
-    std::vector<Chunk> chunks;
-    for (size_t p = 0; p < parts.size(); ++p) {
-      for (const ByteRange& sub :
-           sam_chunks(file, parts[p], options.chunk_bytes)) {
-        chunks.push_back(Chunk{static_cast<int>(p), sub.begin, sub.end});
-      }
-    }
-    return run_dynamic(
-        chunks, out_dir, options, header, [&](const Chunk& chunk) {
-          ChunkResult out;
-          out.bytes_in = chunk.end - chunk.begin;
-          for_each_sam_record(file, ByteRange{chunk.begin, chunk.end},
-                              options.read_buffer_bytes, header,
-                              [&](AlignmentRecord& rec) {
-                                out.records.push_back(std::move(rec));
-                              });
-          return out;
-        });
-  }
-
   return run_static(
       out_dir, options, header, [&](mpi::Comm& comm, Part& part) {
         InputFile file(sam_path);  // each rank opens the input independently
         const ByteRange range = partition_sam_distributed(file, body, comm);
         part.stats.bytes_in = range.size();
-        for_each_sam_record(file, range, options.read_buffer_bytes, header,
+        for_each_sam_record(file, range, kReadBufferBytes, header,
                             [&](AlignmentRecord& rec) { part.write(rec); });
       });
 }

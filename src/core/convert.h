@@ -20,10 +20,11 @@
 //
 // Both preprocessors are one pipeline behind a per-format front-end, and
 // every BAMX conversion is a plan (every record, or a region's record
-// list) run by one executor. Conversions run on one of two drivers: static
-// minimpi ranks (threads standing in for MPI processes), each writing its
-// own part file with no communication after partitioning — the paper's
-// scheme — or dynamic chunks on an exec::Pool, with byte-identical output.
+// list) run by one executor. Every conversion runs on one driver, the
+// paper's scheme: minimpi ranks (threads standing in for MPI processes,
+// or real processes under ngsx_mpirun), each converting one fixed byte or
+// record range into its own part file with no communication after
+// partitioning.
 
 #pragma once
 
@@ -49,35 +50,11 @@ struct Region {
 /// against `header`. Throws UsageError on unknown chromosome / bad syntax.
 Region parse_region(std::string_view text, const sam::SamHeader& header);
 
-/// How conversion work is distributed over the execution width.
-///
-/// kStatic is the paper's scheme: one fixed byte/record range per rank,
-/// no coordination after partitioning. kDynamic keeps the *same* N part
-/// files (same record ranges, byte-identical output) but subdivides each
-/// part into many chunks and feeds them through an exec::Pool ordered
-/// pipeline, so a skewed input (hot chromosome, variable record density)
-/// rebalances onto idle workers instead of serializing on the slowest
-/// rank.
-enum class Schedule {
-  kStatic,
-  kDynamic,
-};
-
-/// Parses "static" / "dynamic". Throws UsageError otherwise.
-Schedule parse_schedule(std::string_view name);
-std::string_view schedule_name(Schedule schedule);
-
 /// Options shared by the converters.
 struct ConvertOptions {
   TargetFormat format = TargetFormat::kBed;
-  int ranks = 1;                       // parallel conversion width (N)
-  size_t read_buffer_bytes = 4 << 20;  // runtime read buffer per rank
-  size_t record_batch = 4096;          // BAMX records fetched per pread
-  bool include_header = true;          // SAM/BAM part files carry a header
-  Schedule schedule = Schedule::kStatic;
-  int threads = 0;                     // dynamic pool width; 0 => ranks
-  size_t chunk_bytes = 1 << 20;        // dynamic SAM chunk target size
-  int decode_threads = 0;              // BGZF inflate workers; 0 => auto
+  int ranks = 1;               // parallel conversion width (N)
+  bool include_header = true;  // SAM/BAM part files carry a header
 };
 
 /// Aggregate statistics of one conversion run.

@@ -6,6 +6,13 @@ namespace ngsx::core {
 
 using sam::AlignmentRecord;
 
+namespace {
+
+/// Records read per bulk read_range when a fetch covers the whole source.
+constexpr uint64_t kFetchBatch = 4096;
+
+}  // namespace
+
 ConversionSession::ConversionSession(SessionOptions options)
     : options_(std::move(options)),
       source_(bamx::open_record_source(options_.bamx_path)),
@@ -61,14 +68,13 @@ std::vector<uint64_t> ConversionSession::plan(const Region& region,
 
 void ConversionSession::fetch(
     const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
-    size_t batch, const std::function<void(AlignmentRecord&)>& emit,
+    const std::function<void(AlignmentRecord&)>& emit,
     const RecordFetcher* fetcher) const {
   if (plan == nullptr) {
-    const uint64_t step = std::max<uint64_t>(batch, 1);
     std::vector<AlignmentRecord> records;
-    for (uint64_t at = begin; at < end; at += step) {
+    for (uint64_t at = begin; at < end; at += kFetchBatch) {
       records.clear();
-      source_->read_range(at, std::min(end, at + step), records);
+      source_->read_range(at, std::min(end, at + kFetchBatch), records);
       for (AlignmentRecord& rec : records) {
         emit(rec);
       }
@@ -95,7 +101,7 @@ ConversionSession::FormatResult ConversionSession::format_records(
   FormatResult result;
   out += target_prologue(format, header_, include_header);
   fetch(
-      &indices, 0, indices.size(), /*batch=*/0,
+      &indices, 0, indices.size(),
       [&](AlignmentRecord& rec) {
         ++result.records_in;
         if (format_target_record(format, rec, header_, out)) {

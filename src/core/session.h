@@ -95,9 +95,8 @@ class ConversionSession {
   /// The slice fetch every BAMX conversion runs: calls `emit` for plan
   /// entries [begin, end), in order. `plan` is a record-index list, fetched
   /// record by record through `fetcher` (default: the source), or null for
-  /// every record of the source, read in bulk batches of `batch` records.
+  /// every record of the source, read in bulk batches of 4096 records.
   void fetch(const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
-             size_t batch,
              const std::function<void(sam::AlignmentRecord&)>& emit,
              const RecordFetcher* fetcher = nullptr) const;
 

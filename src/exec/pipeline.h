@@ -3,9 +3,9 @@
 // Staged pipeline on top of exec::Pool: a serial source, N parallel
 // transform workers, and a sink that commits results strictly in source
 // order via sequence tickets. This is the shape of every ordered parallel
-// path in ngsx — BGZF block compression (blocks must land in file order),
-// dynamic-schedule conversion (part files must be byte-identical to the
-// static schedule) — factored out once.
+// path in ngsx — BGZF block decode and compression (blocks must land in
+// file order), preprocessing and collation (records must keep input
+// order) — factored out once.
 //
 // Two forms:
 //

@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <algorithm>
+
 #include "util/common.h"
 #include "util/strutil.h"
 
@@ -63,6 +65,15 @@ bool CliArgs::get_bool(const std::string& name, bool def) const {
     return false;
   }
   throw UsageError("bad boolean flag --" + name + "=" + it->second);
+}
+
+void CliArgs::reject_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw UsageError("unknown flag --" + name);
+    }
+  }
 }
 
 }  // namespace ngsx

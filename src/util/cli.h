@@ -6,15 +6,17 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ngsx {
 
 /// Parses flags of the form --key=value, --key value, and bare --key, plus
-/// positional arguments. Unknown flags are kept and reported on demand so
-/// each tool can validate its own set.
+/// positional arguments. Every flag is kept; a tool validates its own set
+/// with reject_unknown().
 class CliArgs {
  public:
   CliArgs(int argc, char** argv);
@@ -30,8 +32,8 @@ class CliArgs {
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
-  /// All flags seen, for validation / usage errors.
-  const std::map<std::string, std::string>& flags() const { return flags_; }
+  /// Throws UsageError naming the first flag seen that is not in `known`.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
  private:
   std::string program_;

@@ -70,6 +70,32 @@ TEST(ConvertEdge, SingleRecordManyRanks) {
   EXPECT_EQ(all, "chr1\t10\t20\tonly\t0\t+\n");
 }
 
+TEST(ConvertEdge, EmptyPartsOfSamTargetAreHeaderOnly) {
+  // More ranks than records: every rank without a record still publishes
+  // its complete, header-only SAM part.
+  TempDir tmp;
+  SamHeader header = edge_header();
+  const std::string path = tmp.file("two.sam");
+  write_file(path, header.text() +
+                       "a\t0\tchr1\t100\t60\t4M\t*\t0\t0\tACGT\tIIII\n"
+                       "b\t0\tchr1\t200\t60\t4M\t*\t0\t0\tACGT\tIIII\n");
+  ConvertOptions options;
+  options.format = TargetFormat::kSam;
+  options.ranks = 8;
+  auto stats = convert_sam(path, tmp.subdir("out"), options);
+  EXPECT_EQ(stats.records_out, 2u);
+  ASSERT_EQ(stats.outputs.size(), 8u);
+  const std::string prologue =
+      target_prologue(TargetFormat::kSam, header, /*include_header=*/true);
+  size_t header_only = 0;
+  for (const auto& out : stats.outputs) {
+    const std::string text = read_file(out);
+    EXPECT_EQ(text.compare(0, prologue.size(), prologue), 0) << out;
+    header_only += text.size() == prologue.size() ? 1 : 0;
+  }
+  EXPECT_EQ(header_only, 6u);
+}
+
 TEST(ConvertEdge, UnmappedOnlyDataset) {
   TempDir tmp;
   SamHeader header = edge_header();
@@ -262,12 +288,10 @@ int64_t sam_reader_outcome(const std::string& path) {
 
 /// Records convert_sam converts from `path`, or -1 on FormatError.
 int64_t convert_sam_outcome(const std::string& path,
-                            const std::string& out_dir, int ranks,
-                            Schedule schedule) {
+                            const std::string& out_dir, int ranks) {
   ConvertOptions options;
   options.format = TargetFormat::kBed;
   options.ranks = ranks;
-  options.schedule = schedule;
   try {
     return static_cast<int64_t>(
         convert_sam(path, out_dir, options).records_in);
@@ -295,15 +319,11 @@ TEST(ConvertEdge, SamReadersShareOneBodyLineRule) {
   EXPECT_EQ(sam_reader_outcome(stray), -1);
   int run = 0;
   for (int ranks : {1, 2}) {
-    for (Schedule schedule : {Schedule::kStatic, Schedule::kDynamic}) {
-      for (const std::string& path : {blank, stray}) {
-        EXPECT_EQ(convert_sam_outcome(path,
-                                      tmp.subdir("o" + std::to_string(run++)),
-                                      ranks, schedule),
-                  sam_reader_outcome(path))
-            << path << " ranks=" << ranks << " "
-            << schedule_name(schedule);
-      }
+    for (const std::string& path : {blank, stray}) {
+      EXPECT_EQ(convert_sam_outcome(
+                    path, tmp.subdir("o" + std::to_string(run++)), ranks),
+                sam_reader_outcome(path))
+          << path << " ranks=" << ranks;
     }
   }
 }

@@ -224,6 +224,32 @@ TEST_P(BamConvertRanks, FullConversionMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(RankSweep, BamConvertRanks,
                          ::testing::Values(1, 2, 3, 8, 13));
 
+TEST(BamConverter, BamTargetAcrossFetchBatches) {
+  // 4400 records: a single rank's share spans more than one of the
+  // session's 4096-record bulk fetches. The BAM parts decode back to the
+  // input records in order.
+  Dataset d(2200);
+  std::string bamx = d.tmp.file("p.bamx");
+  std::string baix = d.tmp.file("p.baix");
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
+  for (int ranks : {1, 3}) {
+    ConvertOptions options;
+    options.format = TargetFormat::kBam;
+    options.ranks = ranks;
+    auto stats = convert_bamx(
+        bamx, baix, d.tmp.subdir("bam-" + std::to_string(ranks)), options);
+    std::vector<AlignmentRecord> all;
+    for (const auto& path : stats.outputs) {
+      bam::BamFileReader reader(path);
+      AlignmentRecord rec;
+      while (reader.next(rec)) {
+        all.push_back(rec);
+      }
+    }
+    EXPECT_EQ(all, d.records) << "ranks=" << ranks;
+  }
+}
+
 TEST(BamConverter, PartialConversionSelectsRegion) {
   Dataset d(400);
   std::string bamx = d.tmp.file("p.bamx");

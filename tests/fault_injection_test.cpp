@@ -1,7 +1,7 @@
 // Failure matrix for the IoPolicy fault-injection layer (docs/ROBUSTNESS.md):
-// for each converter × target format × {static,dynamic} schedule × {1,8}
-// BGZF decode threads, inject each fault class at several operation offsets
-// and assert the four robustness invariants:
+// for each converter × target format × {1,8} BGZF decode threads, inject
+// each fault class at several operation offsets and assert the four
+// robustness invariants:
 //
 //   1. the converter returns a clean ngsx::Error carrying the injected
 //      failure (no abort, no hang, no false success);
@@ -37,7 +37,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using core::ConvertOptions;
-using core::Schedule;
 using core::TargetFormat;
 
 /// Clears every injected rule on scope exit so a failing assertion cannot
@@ -235,32 +234,23 @@ void expect_fault(const FaultCase& fc, const std::string& substr,
   expect_outputs_complete(dir, clean);
 }
 
-/// Test axis: (schedule, BGZF decode threads).
-class FaultMatrix
-    : public ::testing::TestWithParam<std::tuple<Schedule, int>> {
+/// Test axis: BGZF decode threads of the BAM readers.
+class FaultMatrix : public ::testing::TestWithParam<int> {
  protected:
-  Schedule schedule() const { return std::get<0>(GetParam()); }
-  int decode_threads() const { return std::get<1>(GetParam()); }
+  int decode_threads() const { return GetParam(); }
 
-  ConvertOptions options(TargetFormat format) const {
+  static ConvertOptions options(TargetFormat format) {
     ConvertOptions opt;
     opt.format = format;
     opt.ranks = 2;
-    opt.schedule = schedule();
-    opt.decode_threads = decode_threads();
     return opt;
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, FaultMatrix,
-    ::testing::Combine(::testing::Values(Schedule::kStatic,
-                                         Schedule::kDynamic),
-                       ::testing::Values(1, 8)),
-    [](const auto& info) {
-      return std::string(core::schedule_name(std::get<0>(info.param))) +
-             "_decode" + std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(DecodeThreads, FaultMatrix, ::testing::Values(1, 8),
+                         [](const auto& info) {
+                           return "decode" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // 1. SAM format converter.

@@ -120,18 +120,15 @@ TEST(PreprocessParallel, FullConversionMatchesSequentialPreprocess) {
   opt.chunk_records = 53;
   PreprocPair p = preprocess_both(d, opt);
 
-  for (Schedule schedule : {Schedule::kStatic, Schedule::kDynamic}) {
-    ConvertOptions options;
-    options.format = TargetFormat::kBed;
-    options.ranks = 3;
-    options.schedule = schedule;
-    auto ref = convert_bamx(p.ref_bamx, p.ref_baix,
-                            d.tmp.subdir("out-ref"), options);
-    auto par = convert_bamx(p.manifest, p.par_baix,
-                            d.tmp.subdir("out-par"), options);
-    EXPECT_EQ(ref.records_in, d.records.size());
-    EXPECT_EQ(concat_outputs(par), concat_outputs(ref));
-  }
+  ConvertOptions options;
+  options.format = TargetFormat::kBed;
+  options.ranks = 3;
+  auto ref =
+      convert_bamx(p.ref_bamx, p.ref_baix, d.tmp.subdir("out-ref"), options);
+  auto par =
+      convert_bamx(p.manifest, p.par_baix, d.tmp.subdir("out-par"), options);
+  EXPECT_EQ(ref.records_in, d.records.size());
+  EXPECT_EQ(concat_outputs(par), concat_outputs(ref));
 }
 
 TEST(PreprocessParallel, PartialConversionMatchesSequentialPreprocess) {

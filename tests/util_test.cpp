@@ -354,6 +354,19 @@ TEST(Cli, BadBoolThrows) {
   EXPECT_THROW(args.get_bool("flag", false), UsageError);
 }
 
+TEST(Cli, RejectUnknownNamesTheStrayFlag) {
+  const char* argv[] = {"prog", "--in", "a.sam", "--bogus", "1"};
+  CliArgs args(5, const_cast<char**>(argv));
+  EXPECT_NO_THROW(args.reject_unknown({"in", "bogus"}));
+  try {
+    args.reject_unknown({"in", "out"});
+    FAIL() << "unknown flag accepted";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--bogus"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --------------------------------------------------------------- tempdir
 
 TEST(TempDir, CreatesAndRemoves) {
