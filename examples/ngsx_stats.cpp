@@ -3,12 +3,16 @@
 //
 // Usage:
 //   ngsx_stats --in chip.bam [--bin 25] [--ranks 8] [--fdr 0.05]
-//              [--simulations 40] [--r 20] [--l 15] [--sigma 10]
+//              [--simulations 40] [--seed 1] [--r 20] [--l 15]
+//              [--sigma 10] [--min-bins 5] [--merge-gap 2]
 //              [--bedgraph coverage.bedgraph] [--peaks peaks.bed]
 //
 // Pipeline: BAM -> binned coverage histogram -> parallel NL-means ->
 // FDR threshold selection (Algorithm 2) -> enriched regions, printed as
 // BED rows (and optionally written to --peaks).
+//
+// Exit status: 0 on success, 1 when the analysis fails or no threshold
+// reaches the target FDR, 2 on a usage error (missing or unknown flag).
 
 #include <cstdio>
 #include <numeric>
@@ -23,18 +27,31 @@
 
 using namespace ngsx;
 
+namespace {
+
+int usage(const char* prog) {
+  std::fprintf(stderr,
+               "usage: %s --in FILE.{bam,sam} [--bin N] [--ranks N]\n"
+               "          [--fdr F] [--simulations B] [--seed S]\n"
+               "          [--r N] [--l N] [--sigma F]\n"
+               "          [--min-bins N] [--merge-gap N]\n"
+               "          [--bedgraph OUT] [--peaks OUT]\n",
+               prog);
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const std::string in = args.get("in", "");
   if (in.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s --in FILE.bam [--bin N] [--ranks N] [--fdr F]\n"
-                 "          [--simulations B] [--r N] [--l N] [--sigma F]\n"
-                 "          [--bedgraph OUT] [--peaks OUT]\n",
-                 argv[0]);
-    return 2;
+    return usage(argv[0]);
   }
   try {
+    args.reject_unknown({"in", "bin", "ranks", "fdr", "simulations", "seed",
+                         "r", "l", "sigma", "min-bins", "merge-gap",
+                         "bedgraph", "peaks"});
     const int bin_size = static_cast<int>(args.get_int("bin", 25));
     const int ranks = static_cast<int>(args.get_int("ranks", 4));
 
@@ -114,7 +131,10 @@ int main(int argc, char** argv) {
                    peaks.size());
     }
     return 0;
-  } catch (const Error& e) {
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -19,15 +19,6 @@ namespace ngsx::core {
 using sam::AlignmentRecord;
 using sam::SamHeader;
 
-bool coord_less(const AlignmentRecord& a, const AlignmentRecord& b) {
-  uint32_t ra = static_cast<uint32_t>(a.ref_id);
-  uint32_t rb = static_cast<uint32_t>(b.ref_id);
-  if (ra != rb) {
-    return ra < rb;
-  }
-  return a.pos < b.pos;
-}
-
 int pairing_rank(const AlignmentRecord& rec) {
   if (!rec.is_primary()) {
     return 3;
@@ -212,62 +203,6 @@ void ExternalSorter::remove_runs() noexcept {
     fs::remove(run, ec);  // best effort; missing (never-written) runs are fine
   }
   run_paths_.clear();
-}
-
-// ------------------------------------------------------------------ sorting
-
-namespace {
-
-uint64_t sort_file(const std::string& in_path, const std::string& out_bam,
-                   RecordLess less, const SortOptions& options) {
-  AlignmentInput source(in_path);
-  ExternalSorter sorter(source.header(), out_bam, less, options);
-  {
-    AlignmentRecord rec;
-    while (source.next(rec)) {
-      sorter.push(std::move(rec));
-    }
-  }
-  uint64_t written = 0;
-  bam::BamFileWriter writer(out_bam, source.header(),
-                            options.compression_level);
-  sorter.drain([&](AlignmentRecord&& rec) {
-    writer.write(rec);
-    ++written;
-  });
-  writer.close();
-  return written;
-}
-
-}  // namespace
-
-uint64_t sort_to_bam(const std::string& in_path, const std::string& out_bam,
-                     const SortOptions& options) {
-  return sort_file(in_path, out_bam, coord_less, options);
-}
-
-bool is_coordinate_sorted(const std::string& path) {
-  AlignmentInput source(path);
-  AlignmentRecord rec;
-  uint32_t last_ref = 0;
-  int32_t last_pos = -1;
-  bool seen_unmapped = false;
-  while (source.next(rec)) {
-    if (rec.ref_id < 0) {
-      seen_unmapped = true;
-      continue;
-    }
-    if (seen_unmapped) {
-      return false;  // mapped record after the unmapped block
-    }
-    uint32_t ref = static_cast<uint32_t>(rec.ref_id);
-    if (ref < last_ref || (ref == last_ref && rec.pos < last_pos)) {
-      return false;
-    }
-    last_ref = ref;
-    last_pos = rec.pos;
-  }
-  return true;
 }
 
 }  // namespace ngsx::core

@@ -1,15 +1,13 @@
 // ngsx/core/sort.h
 //
-// External-merge sorting of alignment records under a pluggable key.
-//
-// The paper's BAM experiments assume coordinate-sorted input ("a 117 GB
-// sorted BAM dataset", §V-C) — the standard upstream `samtools sort` step —
-// so coordinate sorting is provided (sort_to_bam). The same spill/merge
-// machinery, generalized from the fixed coordinate key to any strict weak
-// order over records, also powers the read-pair collation stage
-// (core/collate.h): records are buffered up to a memory budget, each full
-// buffer is stable-sorted and spilled as a BAM run on a background
-// exec::SerialStage, and the runs are k-way merged on drain. The whole
+// External-merge sorting of alignment records under a pluggable key — the
+// spill/merge engine behind read-pair collation (core/collate.h). Records
+// are buffered up to a memory budget, each full buffer is stable-sorted
+// and spilled as a BAM run on a background exec::SerialStage, and the runs
+// are k-way merged on drain. Coordinate sorting is not offered: the
+// paper's BAM input arrives already sorted ("a 117 GB sorted BAM dataset",
+// §V-C) by the upstream `samtools sort` step, and validate_file's
+// OUT_OF_ORDER check is the one place that order is verified. The whole
 // sort is stable for ANY key: each run is stable-sorted, runs are created
 // in input order, and the merge breaks key ties by run index — so records
 // with equal keys keep their input order no matter how (or whether) the
@@ -47,7 +45,7 @@ struct SortOptions {
   /// fills, peak residency can briefly reach ~1.5x this budget.
   size_t max_records_in_memory = 1'000'000;
 
-  /// BGZF level for spill runs and the output.
+  /// BGZF level for spill runs.
   int compression_level = 6;
 
   /// Directory for spill runs; empty = alongside the output file.
@@ -59,10 +57,6 @@ struct SortOptions {
 /// by a background thread compare identically at merge time.
 using RecordLess = bool (*)(const sam::AlignmentRecord&,
                             const sam::AlignmentRecord&);
-
-/// Coordinate order: (ref id as unsigned so -1 sorts last, position) —
-/// samtools' sort order.
-bool coord_less(const sam::AlignmentRecord& a, const sam::AlignmentRecord& b);
 
 /// Rank of a record within its read-name group under collation order:
 /// primary read1 (0), primary read2 (1), primary unpaired (2), then
@@ -154,14 +148,5 @@ class ExternalSorter {
   std::atomic<uint64_t> spilled_bytes_{0};
   exec::SerialStage spill_stage_;
 };
-
-/// Coordinate-sorts `in_path` (".sam" or ".bam", by extension) into a
-/// sorted BAM at `out_bam`. Returns the number of records written.
-uint64_t sort_to_bam(const std::string& in_path, const std::string& out_bam,
-                     const SortOptions& options = {});
-
-/// True if the SAM/BAM file at `path` is coordinate-sorted (unmapped
-/// records allowed only in a trailing block).
-bool is_coordinate_sorted(const std::string& path);
 
 }  // namespace ngsx::core

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "core/partition.h"
 #include "formats/bam.h"
-#include "formats/bamx.h"
-#include "mpi/minimpi.h"
 #include "util/binio.h"
 #include "util/strutil.h"
 
@@ -163,73 +160,6 @@ CoverageHistogram histogram_from_sam(const std::string& sam_path,
     hist.add(rec);
   }
   return hist;
-}
-
-CoverageHistogram histogram_from_bamx_parallel(const std::string& bamx_path,
-                                               int32_t bin_size, int ranks) {
-  NGSX_CHECK_MSG(ranks >= 1, "ranks must be >= 1");
-  // One source for every rank: its reads are positioned and const.
-  const std::unique_ptr<bamx::RecordSource> source =
-      bamx::open_record_source(bamx_path);
-  const SamHeader& header = source->header();
-  const uint64_t n_records = source->num_records();
-  const size_t n_refs = header.references().size();
-
-  CoverageHistogram result(header, bin_size);
-  mpi::run(ranks, [&](mpi::Comm& comm) {
-    CoverageHistogram local(header, bin_size);
-    auto parts = core::split_records(n_records, comm.size());
-    auto [begin, end] = parts[static_cast<size_t>(comm.rank())];
-    std::vector<AlignmentRecord> batch;
-    for (uint64_t at = begin; at < end;) {
-      uint64_t take = std::min<uint64_t>(4096, end - at);
-      batch.clear();
-      source->read_range(at, at + take, batch);
-      for (const AlignmentRecord& rec : batch) {
-        local.add(rec);
-      }
-      at += take;
-    }
-    // Sum-reduce per-chromosome bin vectors at rank 0, one message per
-    // chromosome (tag = reference id).
-    if (comm.rank() != 0) {
-      for (size_t ref = 0; ref < n_refs; ++ref) {
-        comm.send_vector<double>(0, static_cast<int>(ref),
-                                 local.bins(static_cast<int32_t>(ref)));
-      }
-    } else {
-      for (size_t ref = 0; ref < n_refs; ++ref) {
-        auto& bins = result.mutable_bins(static_cast<int32_t>(ref));
-        bins = local.bins(static_cast<int32_t>(ref));
-        for (int r = 1; r < comm.size(); ++r) {
-          auto remote = comm.recv_vector<double>(r, static_cast<int>(ref));
-          NGSX_CHECK(remote.size() == bins.size());
-          for (size_t b = 0; b < bins.size(); ++b) {
-            bins[b] += remote[b];
-          }
-        }
-      }
-    }
-    // Broadcast the summed bins: when the ranks are separate processes
-    // (shm/tcp) every rank's copy of `result` must hold the totals —
-    // especially under ngsx_mpirun, where every rank returns it to its
-    // caller. Under threads the non-root ranks skip the store.
-    for (size_t ref = 0; ref < n_refs; ++ref) {
-      const auto& root_bins = result.bins(static_cast<int32_t>(ref));
-      std::string bytes = comm.bcast(
-          0, comm.rank() == 0
-                 ? std::string(
-                       reinterpret_cast<const char*>(root_bins.data()),
-                       root_bins.size() * sizeof(double))
-                 : std::string());
-      if (comm.rank() != 0 && !mpi::ranks_share_address_space()) {
-        auto& bins = result.mutable_bins(static_cast<int32_t>(ref));
-        NGSX_CHECK(bytes.size() == bins.size() * sizeof(double));
-        __builtin_memcpy(bins.data(), bytes.data(), bytes.size());
-      }
-    }
-  });
-  return result;
 }
 
 }  // namespace ngsx::stats

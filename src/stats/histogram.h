@@ -5,7 +5,10 @@
 // producing the histogram data the NL-means and FDR steps consume. The
 // paper's pipeline materializes these via the converter (SAM/BAM ->
 // BED/BEDGRAPH); this module provides the direct in-memory builder plus
-// BEDGRAPH import/export so either path works.
+// BEDGRAPH import/export so either path works. The builder is one
+// streaming pass over BAM (with parallel BGZF inflate) or SAM. A
+// rank-parallel builder over preprocessed BAMX lost to it end to end,
+// preprocessing included, and was retired (EXPERIMENTS.md).
 
 #pragma once
 
@@ -67,16 +70,5 @@ CoverageHistogram histogram_from_bam(const std::string& bam_path,
 /// Builds a histogram by streaming a SAM file.
 CoverageHistogram histogram_from_sam(const std::string& sam_path,
                                      int32_t bin_size);
-
-/// Parallel histogram construction over a preprocessed BAMX file or BAMXM
-/// shard manifest (`bamx_path` is sniffed by magic): each minimpi rank
-/// accumulates a private histogram over its record-index share of the one
-/// shared source, then the per-chromosome bin vectors are sum-reduced at
-/// rank 0 —
-/// the "convert aligned sequence data into histogram data in parallel"
-/// step the statistics pipeline starts from (§IV). Bit-identical to the
-/// sequential builders.
-CoverageHistogram histogram_from_bamx_parallel(const std::string& bamx_path,
-                                               int32_t bin_size, int ranks);
 
 }  // namespace ngsx::stats

@@ -1,6 +1,6 @@
 // Tests for the BAIX v2 index: overlap queries against a brute-force
-// oracle, filters, serialization, and the extended partial conversion +
-// parallel histogram construction built on top of it.
+// oracle, filters, serialization, and the extended partial conversion
+// built on top of it.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "core/convert.h"
 #include "formats/baix2.h"
 #include "simdata/readsim.h"
-#include "stats/histogram.h"
 #include "util/tempdir.h"
 
 namespace ngsx::baix2 {
@@ -291,24 +290,6 @@ TEST(FilteredConversion, OutputIdenticalAcrossRanks) {
     if (reference_output[i] == '\t' && reference_output[i + 1] == '+') {
       FAIL() << "forward-strand row leaked through the reverse filter";
     }
-  }
-}
-
-// ------------------------------------------------- parallel histogram
-
-TEST(ParallelHistogram, MatchesSequentialBuilders) {
-  Fixture f;
-  auto sequential = [&] {
-    stats::CoverageHistogram h(f.genome.header(), 25);
-    for (const auto& rec : f.records) {
-      h.add(rec);
-    }
-    return h.flatten();
-  }();
-  for (int ranks : {1, 2, 5, 8}) {
-    auto parallel =
-        stats::histogram_from_bamx_parallel(f.bamx_path, 25, ranks);
-    EXPECT_EQ(parallel.flatten(), sequential) << ranks << " ranks";
   }
 }
 

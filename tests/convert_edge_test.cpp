@@ -1,17 +1,18 @@
 // Edge-case suite for the converter framework: degenerate inputs, extreme
 // rank/record ratios, header handling, and end-to-end chains through the
-// sorter and indexes.
+// preprocessor and indexes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/convert.h"
-#include "util/rng.h"
-#include "core/sort.h"
 #include "formats/bam.h"
+#include "formats/validate.h"
 #include "simdata/readsim.h"
 #include "testutil.h"
+#include "util/rng.h"
 #include "util/tempdir.h"
 
 namespace ngsx::core {
@@ -210,8 +211,9 @@ TEST(ConvertEdge, BamPartsAreValidBamFiles) {
 }
 
 TEST(ConvertEdge, SortThenPreprocessThenPartialChain) {
-  // The full adoption chain: unsorted BAM -> sort -> preprocess ->
-  // partial conversion; counts agree with a direct filter.
+  // The full adoption chain: records sorted upstream -> validated sorted
+  // BAM -> preprocess -> partial conversion; counts agree with a direct
+  // filter.
   TempDir tmp;
   SamHeader header = edge_header();
   Rng rng(29);
@@ -225,16 +227,18 @@ TEST(ConvertEdge, SortThenPreprocessThenPartialChain) {
     rec.seq = std::string(50, 'A');
     records.push_back(rec);
   }
-  std::string unsorted = tmp.file("u.bam");
+  std::stable_sort(records.begin(), records.end(), testutil::coordinate_less);
+  std::string sorted = tmp.file("s.bam");
   {
-    bam::BamFileWriter w(unsorted, header);
+    bam::BamFileWriter w(sorted, header);
     for (const auto& rec : records) {
       w.write(rec);
     }
     w.close();
   }
-  std::string sorted = tmp.file("s.bam");
-  sort_to_bam(unsorted, sorted);
+  validate::Options sort_check;
+  sort_check.check_sort_order = true;
+  ASSERT_TRUE(validate::validate_file(sorted, sort_check).ok());
   preprocess_bam_parallel(sorted, tmp.file("s.bamxm"), tmp.file("s.baix"));
   ConvertOptions options;
   options.format = TargetFormat::kBed;

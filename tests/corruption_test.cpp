@@ -13,7 +13,6 @@
 #include "formats/bai.h"
 #include "formats/bam.h"
 #include "formats/bamx.h"
-#include "formats/bamxz.h"
 #include "formats/sam.h"
 #include "simdata/readsim.h"
 #include "util/iopolicy.h"
@@ -32,7 +31,6 @@ struct Corpus {
   std::string bam_path;
   std::string bamx_path;
   std::string baix_path;
-  std::string bamxz_path;
   std::string bai_path;
 
   Corpus() {
@@ -45,7 +43,6 @@ struct Corpus {
     bam_path = tmp.file("c.bam");
     bamx_path = tmp.file("c.bamx");
     baix_path = tmp.file("c.baix");
-    bamxz_path = tmp.file("c.bamxz");
     bai_path = tmp.file("c.bam.bai");
     {
       sam::SamFileWriter w(sam_path, genome.header());
@@ -75,13 +72,6 @@ struct Corpus {
     {
       bamx::BamxReader reader(bamx_path);
       bamx::BaixIndex::build(reader).save(baix_path);
-    }
-    {
-      bamxz::BamxzWriter w(bamxz_path, genome.header(), layout, 32);
-      for (const auto& r : records) {
-        w.write(r);
-      }
-      w.close();
     }
     bai::BaiIndex::build(bam_path).save(bai_path);
   }
@@ -227,20 +217,6 @@ TEST_P(CorruptionSeeds, BamxTruncationsNeverCrash) {
   }
 }
 
-TEST_P(CorruptionSeeds, BamxzFlipsNeverCrash) {
-  Corpus& c = corpus();
-  std::string path = corrupt_copy(c.bamxz_path, GetParam() + 400, 3,
-                                  c.tmp.file("x.bamxz"));
-  try {
-    bamxz::BamxzReader reader(path);
-    AlignmentRecord rec;
-    for (uint64_t i = 0; i < reader.num_records(); ++i) {
-      reader.read(i, rec);
-    }
-  } catch (const Error&) {
-  }
-}
-
 TEST_P(CorruptionSeeds, BaixFlipsNeverCrash) {
   Corpus& c = corpus();
   std::string path = corrupt_copy(c.baix_path, GetParam() + 500, 2,
@@ -349,14 +325,6 @@ TEST(AtomicCommit, KilledWritersLeaveNoFinalFileAndRerunIsByteIdentical) {
          }
          w.close();
        }},
-      {"bamxz", &c.bamxz_path,
-       [&](const std::string& p) {
-         bamxz::BamxzWriter w(p, header, layout, 32);
-         for (const auto& r : records) {
-           w.write(r);
-         }
-         w.close();
-       }},
   };
 
   for (const Format& fmt : formats) {
@@ -382,7 +350,7 @@ TEST(AtomicCommit, KilledWritersLeaveNoFinalFileAndRerunIsByteIdentical) {
 
 TEST(AtomicCommit, EnospcMidStreamRollsBackCompressedWriters) {
   // ENOSPC strikes while compressed payload is moving to the kernel (not
-  // at close): larger dataset so BGZF/BAMXZ cross their buffer thresholds.
+  // at close): larger dataset so BGZF crosses its buffer thresholds.
   sam::SamHeader header;
   auto records = corpus_records(header);
   TempDir tmp;
@@ -421,7 +389,6 @@ TEST(Corruption, TotallyRandomBytesRejectedEverywhere) {
   write_file(path, noise);
   EXPECT_THROW(bam::BamFileReader r(path), Error);
   EXPECT_THROW(bamx::BamxReader r(path), Error);
-  EXPECT_THROW(bamxz::BamxzReader r(path), Error);
   EXPECT_THROW(bamx::BaixIndex::load(path), Error);
   EXPECT_THROW(bai::BaiIndex::load(path), Error);
 }

@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "core/collate.h"
 #include "core/convert.h"
-#include "core/sort.h"
 #include "obs/metrics.h"
 #include "formats/bam.h"
 #include "formats/sam.h"
@@ -624,8 +624,9 @@ TEST(InputFileTransient, ExhaustedRetriesCountAsFault) {
 // --------------------------------------------- external-sort run cleanup
 //
 // Invariant 3 (no ".tmp." litter) for the external-merge sorter
-// (core/sort.h): a failure at any phase — writing a spill run, or writing
-// the final output mid-merge — must leave zero run files behind.
+// (core/sort.h), driven through collate_to_bam, its name-grouped BAM
+// client: a failure at any phase — writing a spill run, or writing the
+// final output mid-merge — must leave zero run files behind.
 
 namespace {
 
@@ -637,15 +638,22 @@ std::string write_sort_input(TempDir& tmp) {
   bam::BamFileWriter w(path, header);
   for (int i = 0; i < 400; ++i) {
     sam::AlignmentRecord rec;
-    rec.qname = "q" + std::to_string(i);
+    rec.qname = "q" + std::to_string((i * 7919) % 400);  // shuffled names
     rec.ref_id = 0;
-    rec.pos = (i * 7919) % 400000;  // shuffled coordinates
+    rec.pos = (i * 7919) % 400000;
     rec.cigar = sam::parse_cigar("50M");
     rec.seq = std::string(50, 'A');
     w.write(rec);
   }
   w.close();
   return path;
+}
+
+core::CollateOptions spilling_options(const std::string& spill_dir) {
+  core::CollateOptions options;
+  options.max_records_in_memory = 32;
+  options.temp_dir = spill_dir;
+  return options;
 }
 
 int count_files_under(const std::string& dir) {
@@ -665,17 +673,15 @@ TEST(SortFaults, EnospcOnSpillRunLeavesNoRunFiles) {
   const std::string in = write_sort_input(tmp);
   const std::string spill_dir = tmp.file("spill");
   fs::create_directories(spill_dir);
-  core::SortOptions options;
-  options.max_records_in_memory = 32;
-  options.temp_dir = spill_dir;
   // Fail the second run file ("run1") after a small byte budget: the
   // first run commits, then the background spill stage fails and the
   // error surfaces from push()/drain(). Every committed run must still
   // be removed on unwind.
   FaultScope scope("run1.tmp.bam",
                    make_fault(io::Op::kWrite, io::FaultKind::kEnospc, 64));
-  EXPECT_THROW(
-      core::sort_to_bam(in, tmp.file("out.bam"), options), Error);
+  EXPECT_THROW(core::collate_to_bam(in, tmp.file("out.bam"),
+                                    spilling_options(spill_dir)),
+               Error);
   EXPECT_EQ(count_files_under(spill_dir), 0);
   EXPECT_FALSE(fs::exists(tmp.file("out.bam")));
 }
@@ -689,13 +695,11 @@ TEST(SortFaults, EnospcMidMergeLeavesNoRunFiles) {
   const std::string spill_dir = tmp.file("spill");
   fs::create_directories(final_dir);
   fs::create_directories(spill_dir);
-  core::SortOptions options;
-  options.max_records_in_memory = 32;
-  options.temp_dir = spill_dir;
   FaultScope scope("final/",
                    make_fault(io::Op::kWrite, io::FaultKind::kEnospc, 256));
-  EXPECT_THROW(
-      core::sort_to_bam(in, final_dir + "/out.bam", options), Error);
+  EXPECT_THROW(core::collate_to_bam(in, final_dir + "/out.bam",
+                                    spilling_options(spill_dir)),
+               Error);
   // Mid-merge failure: all runs existed when the merge started, and the
   // sorter's unwind removed every one of them.
   EXPECT_EQ(count_files_under(spill_dir), 0);
@@ -705,18 +709,23 @@ TEST(SortFaults, EnospcMidMergeLeavesNoRunFiles) {
 TEST(SortFaults, RetryAfterFaultClearsProducesCorrectOutput) {
   TempDir tmp("sort-fault-retry");
   const std::string in = write_sort_input(tmp);
-  core::SortOptions options;
-  options.max_records_in_memory = 32;
-  options.temp_dir = tmp.file("spill");
-  fs::create_directories(options.temp_dir);
+  const std::string spill_dir = tmp.file("spill");
+  fs::create_directories(spill_dir);
+  const core::CollateOptions options = spilling_options(spill_dir);
   {
     FaultScope scope("run0.tmp.bam",
                      make_fault(io::Op::kWrite, io::FaultKind::kEnospc, 64));
-    EXPECT_THROW(core::sort_to_bam(in, tmp.file("out.bam"), options), Error);
+    EXPECT_THROW(core::collate_to_bam(in, tmp.file("out.bam"), options),
+                 Error);
   }
-  EXPECT_EQ(core::sort_to_bam(in, tmp.file("out.bam"), options), 400u);
-  EXPECT_TRUE(core::is_coordinate_sorted(tmp.file("out.bam")));
-  EXPECT_EQ(count_files_under(options.temp_dir), 0);
+  const core::CollateStats stats =
+      core::collate_to_bam(in, tmp.file("out.bam"), options);
+  EXPECT_EQ(stats.written, 400u);
+  EXPECT_GT(stats.spill_runs, 1u);
+  EXPECT_EQ(count_files_under(spill_dir), 0);
+  // Byte-identical to a run that never spilled.
+  core::collate_to_bam(in, tmp.file("mem.bam"));
+  EXPECT_EQ(read_file(tmp.file("out.bam")), read_file(tmp.file("mem.bam")));
 }
 
 }  // namespace

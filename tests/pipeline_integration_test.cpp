@@ -3,13 +3,13 @@
 //
 //   simulate genome + enriched reads
 //     -> write SAM                      (simdata, formats/sam)
-//     -> coordinate-sort to BAM        (core/sort)
+//     -> coordinate-sort to BAM         (the upstream samtools-sort step)
 //     -> validate                       (formats/validate)
 //     -> BAI index + region query       (formats/bai)
 //     -> preprocess to BAMXM/BAIX       (core, paper III-B)
 //     -> parallel conversion to BED     (core, paper III-A/B)
 //     -> BED interval algebra           (formats/bed)
-//     -> parallel histogram             (stats, paper IV)
+//     -> coverage histogram             (stats, paper IV)
 //     -> NL-means + FDR + peak calling  (stats, paper IV-A/B)
 //     -> peaks intersect planted truth  (formats/bed)
 //
@@ -22,14 +22,15 @@
 #include <numeric>
 
 #include "core/convert.h"
-#include "core/sort.h"
 #include "formats/bai.h"
+#include "formats/bam.h"
 #include "formats/bed.h"
 #include "formats/validate.h"
 #include "simdata/histsim.h"
 #include "simdata/readsim.h"
 #include "stats/histogram.h"
 #include "stats/peaks.h"
+#include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx {
@@ -64,7 +65,8 @@ TEST(PipelineIntegration, EndToEnd) {
       ++k;
     }
   }
-  // Deliberately unsorted: the sorter is part of the chain.
+  // Deliberately unsorted: the SAM is what an aligner emits, and the
+  // coordinate sort happens upstream (samtools sort), as in the paper.
   std::reverse(records.begin(), records.end());
   const std::string unsorted_sam = tmp.file("a.sam");
   {
@@ -75,20 +77,32 @@ TEST(PipelineIntegration, EndToEnd) {
     w.close();
   }
 
-  // ---- 2. Sort to BAM.
+  // ---- 2. Sort to BAM: re-read the SAM, sort in memory, write the BAM.
   const std::string sorted_bam = tmp.file("a.bam");
-  core::SortOptions sort_options;
-  sort_options.max_records_in_memory = 4096;  // force the external path
-  uint64_t sorted = core::sort_to_bam(unsorted_sam, sorted_bam, sort_options);
-  ASSERT_EQ(sorted, records.size());
-  ASSERT_TRUE(core::is_coordinate_sorted(sorted_bam));
+  {
+    sam::SamFileReader reader(unsorted_sam);
+    std::vector<sam::AlignmentRecord> sorted;
+    sam::AlignmentRecord rec;
+    while (reader.next(rec)) {
+      sorted.push_back(rec);
+    }
+    ASSERT_EQ(sorted.size(), records.size());
+    std::stable_sort(sorted.begin(), sorted.end(), testutil::coordinate_less);
+    bam::BamFileWriter w(sorted_bam, reader.header());
+    for (const auto& r : sorted) {
+      w.write(r);
+    }
+    w.close();
+  }
 
-  // ---- 3. Validate the sorted BAM.
+  // ---- 3. Validate the sorted BAM, sort order included; the unsorted
+  //         SAM fails the same check.
   validate::Options validate_options;
   validate_options.check_sort_order = true;
   auto report = validate::validate_file(sorted_bam, validate_options);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report.records_checked, records.size());
+  ASSERT_FALSE(validate::validate_file(unsorted_sam, validate_options).ok());
 
   // ---- 4. Standard BAI index answers a region query.
   auto bai_index = bai::BaiIndex::build(sorted_bam);
@@ -135,10 +149,8 @@ TEST(PipelineIntegration, EndToEnd) {
     EXPECT_TRUE(covered) << "planted region " << beg << "-" << end;
   }
 
-  // ---- 7. Parallel histogram equals sequential, feeds the stats stack.
-  auto hist = stats::histogram_from_bamx_parallel(bamx, bin_size, ranks);
-  auto hist_seq = stats::histogram_from_bam(sorted_bam, bin_size);
-  ASSERT_EQ(hist.flatten(), hist_seq.flatten());
+  // ---- 7. Coverage histogram, built the way ngsx_stats builds it.
+  auto hist = stats::histogram_from_bam(sorted_bam, bin_size);
   std::vector<double> signal = hist.flatten();
 
   // ---- 8. Peak calling recovers the planted regions.

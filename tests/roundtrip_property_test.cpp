@@ -1,5 +1,5 @@
 // Property suite: randomized records must survive every codec in the
-// repository unchanged — SAM text, BAM, BAMX, BAMXZ — individually and
+// repository unchanged — SAM text, BAM, BAMX — individually and
 // chained. The generator (tests/testutil.h) produces degenerate and
 // extreme field combinations the simulator never emits.
 
@@ -9,7 +9,6 @@
 
 #include "formats/bam.h"
 #include "formats/bamx.h"
-#include "formats/bamxz.h"
 #include "formats/sam.h"
 #include "testutil.h"
 #include "util/iopolicy.h"
@@ -192,37 +191,6 @@ TEST_P(RoundTripSeeds, BamFileParallelDecode) {
       ASSERT_EQ(rec, records[i])
           << "threads " << threads << " probe of record " << i;
     }
-  }
-}
-
-TEST_P(RoundTripSeeds, BamxzFile) {
-  SamHeader header = property_header();
-  Rng rng(GetParam() + 4000);
-  std::vector<AlignmentRecord> records;
-  bamx::BamxLayout layout;
-  for (int i = 0; i < 300; ++i) {
-    records.push_back(testutil::random_record(rng, header));
-    layout.accommodate(records.back());
-  }
-  TempDir tmp;
-  {
-    // Small blocks so the file has several.
-    bamxz::BamxzWriter w(tmp.file("a.bamxz"), header, layout,
-                         /*records_per_block=*/64);
-    for (const auto& r : records) {
-      w.write(r);
-    }
-    w.close();
-  }
-  bamxz::BamxzReader r(tmp.file("a.bamxz"));
-  ASSERT_EQ(r.num_records(), records.size());
-  EXPECT_EQ(r.num_blocks(), (records.size() + 63) / 64);
-  AlignmentRecord rec;
-  // Random access across block boundaries, in scrambled order.
-  for (size_t step = 0; step < records.size(); ++step) {
-    size_t i = (step * 89) % records.size();
-    r.read(i, rec);
-    ASSERT_EQ(rec, records[i]) << "record " << i;
   }
 }
 

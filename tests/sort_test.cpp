@@ -1,22 +1,25 @@
-// Tests for the external-merge coordinate sorter.
+// Tests for the external-merge sorter (core/sort.h), driven directly under
+// a coordinate order defined here: in-memory vs spill paths, stability for
+// equal keys, run-file naming under concurrency, and empty input.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <thread>
 
 #include "core/sort.h"
 #include "formats/bai.h"
 #include "formats/bam.h"
 #include "formats/sam.h"
+#include "formats/validate.h"
 #include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx::core {
 namespace {
 
+namespace fs = std::filesystem;
 using sam::AlignmentRecord;
 using sam::SamHeader;
 
@@ -37,92 +40,86 @@ std::vector<AlignmentRecord> shuffled_records(size_t n, uint64_t seed) {
   return records;
 }
 
-void write_bam(const std::string& path,
-               const std::vector<AlignmentRecord>& records) {
-  bam::BamFileWriter w(path, sort_header());
-  for (const auto& rec : records) {
-    w.write(rec);
-  }
-  w.close();
+/// The sorter's whole contract in one oracle: a stable sort.
+std::vector<AlignmentRecord> stable_sorted(std::vector<AlignmentRecord> v) {
+  std::stable_sort(v.begin(), v.end(), testutil::coordinate_less);
+  return v;
 }
 
-std::vector<AlignmentRecord> read_bam(const std::string& path) {
-  bam::BamFileReader r(path);
+/// Pushes `input` through an ExternalSorter named after `target` and
+/// returns the drained records.
+std::vector<AlignmentRecord> external_sort(
+    const std::vector<AlignmentRecord>& input, const std::string& target,
+    const SortOptions& options = {}, bool* spilled = nullptr) {
+  ExternalSorter sorter(sort_header(), target, testutil::coordinate_less,
+                        options);
+  for (const auto& rec : input) {
+    sorter.push(rec);
+  }
   std::vector<AlignmentRecord> out;
-  AlignmentRecord rec;
-  while (r.next(rec)) {
-    out.push_back(rec);
+  sorter.drain([&](AlignmentRecord&& rec) { out.push_back(std::move(rec)); });
+  EXPECT_EQ(sorter.total(), input.size());
+  if (spilled != nullptr) {
+    *spilled = sorter.spilled();
   }
   return out;
 }
 
-void expect_sorted_same_multiset(const std::vector<AlignmentRecord>& input,
-                                 const std::vector<AlignmentRecord>& output) {
-  ASSERT_EQ(output.size(), input.size());
-  // Sorted by coordinate, unmapped last.
-  for (size_t i = 1; i < output.size(); ++i) {
-    uint32_t ra = static_cast<uint32_t>(output[i - 1].ref_id);
-    uint32_t rb = static_cast<uint32_t>(output[i].ref_id);
-    ASSERT_TRUE(ra < rb || (ra == rb && output[i - 1].pos <= output[i].pos))
-        << "records " << i - 1 << ", " << i;
+int run_files_under(const std::string& dir) {
+  int n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().string().find(".tmp.bam") != std::string::npos) {
+      ++n;
+    }
   }
-  // Same multiset (match by unique qname, then full equality).
-  std::map<std::string, const AlignmentRecord*> by_name;
-  for (const auto& rec : input) {
-    by_name[rec.qname] = &rec;
-  }
-  for (const auto& rec : output) {
-    auto it = by_name.find(rec.qname);
-    ASSERT_NE(it, by_name.end()) << rec.qname;
-    EXPECT_EQ(rec, *it->second);
-  }
+  return n;
 }
 
 TEST(Sort, InMemoryPath) {
   TempDir tmp;
   auto records = shuffled_records(500, 1);
-  write_bam(tmp.file("in.bam"), records);
-  uint64_t n = sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"));
-  EXPECT_EQ(n, records.size());
-  expect_sorted_same_multiset(records, read_bam(tmp.file("out.bam")));
-  EXPECT_TRUE(is_coordinate_sorted(tmp.file("out.bam")));
+  bool spilled = true;
+  auto out = external_sort(records, tmp.file("out.bam"), {}, &spilled);
+  EXPECT_FALSE(spilled);
+  EXPECT_EQ(out, stable_sorted(records));
 }
 
 TEST(Sort, ExternalMergePath) {
   TempDir tmp;
   auto records = shuffled_records(1000, 2);
-  write_bam(tmp.file("in.bam"), records);
   SortOptions options;
-  options.max_records_in_memory = 64;  // forces ~16 runs
-  uint64_t n = sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"), options);
-  EXPECT_EQ(n, records.size());
-  expect_sorted_same_multiset(records, read_bam(tmp.file("out.bam")));
-  EXPECT_TRUE(is_coordinate_sorted(tmp.file("out.bam")));
-  // Spill runs cleaned up.
-  namespace fs = std::filesystem;
-  int leftovers = 0;
-  for (const auto& entry : fs::directory_iterator(tmp.path())) {
-    if (entry.path().string().find(".tmp.bam") != std::string::npos) {
-      ++leftovers;
-    }
+  options.max_records_in_memory = 64;  // 32-record buffers: ~32 runs
+  ExternalSorter sorter(sort_header(), tmp.file("out.bam"),
+                        testutil::coordinate_less, options);
+  for (const auto& rec : records) {
+    sorter.push(rec);
   }
-  EXPECT_EQ(leftovers, 0);
+  EXPECT_GT(run_files_under(tmp.path()), 0);  // runs exist mid-sort
+  std::vector<AlignmentRecord> out;
+  sorter.drain([&](AlignmentRecord&& rec) { out.push_back(std::move(rec)); });
+  EXPECT_TRUE(sorter.spilled());
+  EXPECT_GE(sorter.runs(), 30u);
+  EXPECT_EQ(sorter.spilled_records(), records.size());
+  EXPECT_GT(sorter.spilled_bytes(), 0u);
+  EXPECT_EQ(out, stable_sorted(records));
+  EXPECT_EQ(run_files_under(tmp.path()), 0);  // drain removed every run
 }
 
 TEST(Sort, ExternalMatchesInMemory) {
   TempDir tmp;
   auto records = shuffled_records(800, 3);
-  write_bam(tmp.file("in.bam"), records);
-  sort_to_bam(tmp.file("in.bam"), tmp.file("mem.bam"));
   SortOptions tiny;
   tiny.max_records_in_memory = 10;
-  sort_to_bam(tmp.file("in.bam"), tmp.file("ext.bam"), tiny);
-  EXPECT_EQ(read_bam(tmp.file("mem.bam")), read_bam(tmp.file("ext.bam")));
+  bool spilled = false;
+  auto ext = external_sort(records, tmp.file("ext.bam"), tiny, &spilled);
+  EXPECT_TRUE(spilled);
+  EXPECT_EQ(ext, external_sort(records, tmp.file("mem.bam")));
 }
 
 TEST(Sort, StableForEqualCoordinates) {
   TempDir tmp;
-  // Many records at the same coordinate: input order must be preserved.
+  // Many records at the same coordinate: input order must be preserved
+  // across runs, whatever the run boundaries.
   std::vector<AlignmentRecord> records;
   for (int i = 0; i < 200; ++i) {
     AlignmentRecord rec;
@@ -133,11 +130,9 @@ TEST(Sort, StableForEqualCoordinates) {
     rec.seq = std::string(50, 'A');
     records.push_back(rec);
   }
-  write_bam(tmp.file("in.bam"), records);
   SortOptions tiny;
   tiny.max_records_in_memory = 16;
-  sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"), tiny);
-  auto out = read_bam(tmp.file("out.bam"));
+  auto out = external_sort(records, tmp.file("out.bam"), tiny);
   ASSERT_EQ(out.size(), records.size());
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].qname, "dup" + std::to_string(i));
@@ -149,111 +144,142 @@ TEST(Sort, ConcurrentSortsSharingTempDir) {
   // spilling sorts sharing a temp directory could clobber each other's
   // runs. Paths now embed pid + a process-wide token.
   TempDir tmp;
-  namespace fs = std::filesystem;
   const std::string shared = tmp.file("spill");
   fs::create_directories(shared);
   auto records_a = shuffled_records(600, 21);
   auto records_b = shuffled_records(600, 22);
-  write_bam(tmp.file("a.bam"), records_a);
-  write_bam(tmp.file("b.bam"), records_b);
   SortOptions options;
   options.max_records_in_memory = 32;  // both sorts spill many runs
   options.temp_dir = shared;
-  std::thread ta([&] {
-    sort_to_bam(tmp.file("a.bam"), tmp.file("a_sorted.bam"), options);
-  });
-  std::thread tb([&] {
-    sort_to_bam(tmp.file("b.bam"), tmp.file("b_sorted.bam"), options);
-  });
+  std::vector<AlignmentRecord> out_a;
+  std::vector<AlignmentRecord> out_b;
+  std::thread ta(
+      [&] { out_a = external_sort(records_a, tmp.file("a.bam"), options); });
+  std::thread tb(
+      [&] { out_b = external_sort(records_b, tmp.file("b.bam"), options); });
   ta.join();
   tb.join();
-  expect_sorted_same_multiset(records_a, read_bam(tmp.file("a_sorted.bam")));
-  expect_sorted_same_multiset(records_b, read_bam(tmp.file("b_sorted.bam")));
+  EXPECT_EQ(out_a, stable_sorted(records_a));
+  EXPECT_EQ(out_b, stable_sorted(records_b));
   EXPECT_TRUE(fs::is_empty(shared));  // every run cleaned up
 }
 
 TEST(Sort, RepeatedSortsSameTargetDoNotCollide) {
-  // Same output path, same temp dir, sequential invocations: the
-  // monotonic run token keeps every invocation's runs distinct even
-  // though target and pid are identical.
+  // Same target path, same temp dir, same pid: the monotonic run token
+  // keeps every sorter's runs distinct — also while two are alive at once
+  // and spilling in interleaved order.
   TempDir tmp;
   auto records = shuffled_records(300, 23);
-  write_bam(tmp.file("in.bam"), records);
+  auto reversed = records;
+  std::reverse(reversed.begin(), reversed.end());
   SortOptions options;
   options.max_records_in_memory = 32;
   options.temp_dir = tmp.path();
-  sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"), options);
-  std::string first = read_bam(tmp.file("out.bam")).empty() ? "" : "ok";
-  sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"), options);
-  expect_sorted_same_multiset(records, read_bam(tmp.file("out.bam")));
-  EXPECT_EQ(first, "ok");
-  namespace fs = std::filesystem;
-  int leftovers = 0;
-  for (const auto& entry : fs::directory_iterator(tmp.path())) {
-    if (entry.path().string().find(".tmp.bam") != std::string::npos) {
-      ++leftovers;
+  const std::string target = tmp.file("out.bam");
+  EXPECT_EQ(external_sort(records, target, options), stable_sorted(records));
+  {
+    ExternalSorter first(sort_header(), target, testutil::coordinate_less,
+                         options);
+    ExternalSorter second(sort_header(), target, testutil::coordinate_less,
+                          options);
+    for (size_t i = 0; i < records.size(); ++i) {
+      first.push(records[i]);
+      second.push(reversed[i]);
     }
+    std::vector<AlignmentRecord> out_first;
+    std::vector<AlignmentRecord> out_second;
+    first.drain(
+        [&](AlignmentRecord&& rec) { out_first.push_back(std::move(rec)); });
+    second.drain(
+        [&](AlignmentRecord&& rec) { out_second.push_back(std::move(rec)); });
+    EXPECT_TRUE(first.spilled());
+    EXPECT_TRUE(second.spilled());
+    EXPECT_EQ(out_first, stable_sorted(records));
+    EXPECT_EQ(out_second, stable_sorted(reversed));
   }
-  EXPECT_EQ(leftovers, 0);
+  EXPECT_EQ(run_files_under(tmp.path()), 0);
 }
 
 TEST(Sort, SamInputAccepted) {
+  // AlignmentInput (the collation front end) feeds the sorter the same
+  // records from SAM as from BAM.
   TempDir tmp;
   auto records = shuffled_records(300, 4);
   {
     sam::SamFileWriter w(tmp.file("in.sam"), sort_header());
+    bam::BamFileWriter b(tmp.file("in.bam"), sort_header());
     for (const auto& rec : records) {
       w.write(rec);
+      b.write(rec);
     }
     w.close();
+    b.close();
   }
-  uint64_t n = sort_to_bam(tmp.file("in.sam"), tmp.file("out.bam"));
-  EXPECT_EQ(n, records.size());
-  expect_sorted_same_multiset(records, read_bam(tmp.file("out.bam")));
+  auto sort_file = [&](const std::string& path) {
+    AlignmentInput input(path);
+    std::vector<AlignmentRecord> read;
+    AlignmentRecord rec;
+    while (input.next(rec)) {
+      read.push_back(rec);
+    }
+    SortOptions options;
+    options.max_records_in_memory = 64;
+    return external_sort(read, tmp.file("out.bam"), options);
+  };
+  auto from_sam = sort_file(tmp.file("in.sam"));
+  EXPECT_EQ(from_sam.size(), records.size());
+  EXPECT_EQ(from_sam, sort_file(tmp.file("in.bam")));
 }
 
 TEST(Sort, EmptyInput) {
   TempDir tmp;
-  write_bam(tmp.file("in.bam"), {});
-  EXPECT_EQ(sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam")), 0u);
-  EXPECT_TRUE(read_bam(tmp.file("out.bam")).empty());
-  EXPECT_TRUE(is_coordinate_sorted(tmp.file("out.bam")));
+  bool spilled = true;
+  EXPECT_TRUE(external_sort({}, tmp.file("out.bam"), {}, &spilled).empty());
+  EXPECT_FALSE(spilled);
+  ExternalSorter sorter(sort_header(), tmp.file("out.bam"),
+                        testutil::coordinate_less, {});
+  sorter.flush_run();  // no-op on an empty buffer
+  EXPECT_FALSE(sorter.spilled());
+  size_t emitted = 0;
+  sorter.drain([&](AlignmentRecord&&) { ++emitted; });
+  EXPECT_EQ(emitted, 0u);
 }
 
 TEST(Sort, SortedOutputFeedsBaiBuild) {
-  // End-to-end: unsorted BAM -> sort -> BAI build succeeds (it rejects
-  // unsorted input, so this proves the order contract).
+  // End-to-end: unsorted records -> spilling sort -> BAM that passes the
+  // validator's sort-order check and the BAI builder (which rejects
+  // unsorted input), while the unsorted BAM fails both.
   TempDir tmp;
   auto records = shuffled_records(400, 5);
-  write_bam(tmp.file("in.bam"), records);
-  EXPECT_FALSE(is_coordinate_sorted(tmp.file("in.bam")));
-  sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"));
+  auto write = [&](const std::string& path,
+                   const std::vector<AlignmentRecord>& v) {
+    bam::BamFileWriter w(path, sort_header());
+    for (const auto& rec : v) {
+      w.write(rec);
+    }
+    w.close();
+  };
+  SortOptions options;
+  options.max_records_in_memory = 64;
+  write(tmp.file("in.bam"), records);
+  write(tmp.file("out.bam"), external_sort(records, tmp.file("out.bam"),
+                                           options));
+  // The random records break other rules too: record every issue so the
+  // check looks at OUT_OF_ORDER alone.
+  validate::Options sort_check;
+  sort_check.check_sort_order = true;
+  sort_check.max_recorded_issues = 1 << 20;
+  auto out_of_order = [&](const std::string& path) {
+    validate::Report report = validate::validate_file(path, sort_check);
+    EXPECT_EQ(report.records_checked, records.size());
+    return std::any_of(
+        report.issues.begin(), report.issues.end(),
+        [](const validate::Issue& i) { return i.rule == "OUT_OF_ORDER"; });
+  };
+  EXPECT_TRUE(out_of_order(tmp.file("in.bam")));
+  EXPECT_FALSE(out_of_order(tmp.file("out.bam")));
+  EXPECT_THROW(bai::BaiIndex::build(tmp.file("in.bam")), Error);
   EXPECT_NO_THROW(bai::BaiIndex::build(tmp.file("out.bam")));
-}
-
-TEST(IsSorted, DetectsOrderViolations) {
-  TempDir tmp;
-  std::vector<AlignmentRecord> records;
-  AlignmentRecord a;
-  a.qname = "a";
-  a.ref_id = 0;
-  a.pos = 100;
-  AlignmentRecord b = a;
-  b.qname = "b";
-  b.pos = 50;
-  write_bam(tmp.file("bad.bam"), {a, b});
-  EXPECT_FALSE(is_coordinate_sorted(tmp.file("bad.bam")));
-  write_bam(tmp.file("good.bam"), {b, a});
-  EXPECT_TRUE(is_coordinate_sorted(tmp.file("good.bam")));
-
-  // Unmapped in the middle is a violation; trailing unmapped is fine.
-  AlignmentRecord u;
-  u.qname = "u";
-  u.flag = sam::kUnmapped;
-  write_bam(tmp.file("mid.bam"), {b, u, a});
-  EXPECT_FALSE(is_coordinate_sorted(tmp.file("mid.bam")));
-  write_bam(tmp.file("tail.bam"), {b, a, u});
-  EXPECT_TRUE(is_coordinate_sorted(tmp.file("tail.bam")));
 }
 
 }  // namespace

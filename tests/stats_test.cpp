@@ -8,7 +8,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/convert.h"
 #include "simdata/histsim.h"
 #include "simdata/readsim.h"
 #include "stats/fdr.h"
@@ -135,30 +134,6 @@ TEST(Histogram, FromSamAndBamAgree) {
   double covered =
       std::accumulate(flat.begin(), flat.end(), 0.0) * 25;
   EXPECT_GT(covered, 0.0);
-}
-
-TEST(Histogram, BamxParallelOverManifestMatchesBam) {
-  // The preprocessor's default output is a BAMXM shard manifest; the
-  // parallel histogram must read it like a monolithic BAMX.
-  TempDir tmp;
-  auto genome = simdata::ReferenceGenome::simulate(
-      simdata::mouse_like_references(300000), 15);
-  simdata::ReadSimConfig cfg;
-  cfg.seed = 15;
-  const std::string bam_path = tmp.file("x.bam");
-  simdata::write_bam_dataset(bam_path, genome, 300, cfg);
-  core::PreprocessOptions opt;
-  opt.threads = 2;
-  opt.shards = 3;
-  core::preprocess_bam_parallel(bam_path, tmp.file("x.bamxm"),
-                                tmp.file("x.baix"), opt);
-  const auto expected = histogram_from_bam(bam_path, 25).flatten();
-  for (int ranks : {1, 2, 4}) {
-    EXPECT_EQ(histogram_from_bamx_parallel(tmp.file("x.bamxm"), 25, ranks)
-                  .flatten(),
-              expected)
-        << "ranks=" << ranks;
-  }
 }
 
 // ----------------------------------------------------------------- NL-means

@@ -3,11 +3,12 @@
 // Shared test helpers: a randomized AlignmentRecord generator that covers
 // far more of the codec state space than simulator output (degenerate
 // fields, every aux type, extreme values), used by the round-trip property
-// suites; and the reference BAM preprocessor the parallel one is checked
-// against.
+// suites; the reference BAM preprocessor the parallel one is checked
+// against; and the coordinate order sorted fixtures are built with.
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +45,17 @@ inline uint64_t reference_preprocess(const std::string& bam_path,
   writer.close();
   bamx::BaixIndex::from_entries(std::move(entries)).save(baix_path);
   return records.size();
+}
+
+/// samtools' coordinate order: reference id as unsigned (so unplaced
+/// records, id -1, sort last), then position. The library does not sort by
+/// coordinate — its input arrives sorted — so tests that need a sorted
+/// fixture std::stable_sort with this and check it with validate_file.
+inline bool coordinate_less(const sam::AlignmentRecord& a,
+                            const sam::AlignmentRecord& b) {
+  const auto ra = static_cast<uint32_t>(a.ref_id);
+  const auto rb = static_cast<uint32_t>(b.ref_id);
+  return ra != rb ? ra < rb : a.pos < b.pos;
 }
 
 inline std::string random_name(Rng& rng, size_t max_len) {

@@ -196,6 +196,48 @@ TEST(ValidateFile, SortOrderCheck) {
   EXPECT_TRUE(has_rule(report, "OUT_OF_ORDER"));
 }
 
+TEST(ValidateFile, SortOrderAllowsUnmappedOnlyAtTail) {
+  // samtools' order puts unplaced reads (ref id -1) after every placed
+  // one: a trailing unmapped block is sorted, a placed read after an
+  // unmapped one is not.
+  TempDir tmp;
+  SamHeader header = v_header();
+  AlignmentRecord lo = clean_record();
+  lo.pos = 100;
+  AlignmentRecord hi = clean_record();
+  hi.pos = 500;
+  AlignmentRecord next_ref = clean_record();
+  next_ref.ref_id = 1;
+  next_ref.pos = 50;
+  next_ref.mate_ref_id = 1;
+  AlignmentRecord unmapped;
+  unmapped.qname = "unplaced";
+  unmapped.flag = sam::kUnmapped;
+  unmapped.seq = std::string(50, 'A');
+  unmapped.qual = std::string(50, 'I');
+  auto sort_report = [&](const std::string& name,
+                         const std::vector<AlignmentRecord>& records) {
+    const std::string path = tmp.file(name);
+    bam::BamFileWriter w(path, header);
+    for (const auto& rec : records) {
+      w.write(rec);
+    }
+    w.close();
+    Options options;
+    options.check_sort_order = true;
+    return validate_file(path, options);
+  };
+
+  Report tail = sort_report("tail.bam", {lo, hi, next_ref, unmapped, unmapped});
+  EXPECT_TRUE(tail.ok()) << (tail.issues.empty() ? "?" : tail.issues[0].rule);
+  Report mid = sort_report("mid.bam", {lo, unmapped, hi});
+  EXPECT_FALSE(mid.ok());
+  ASSERT_TRUE(has_rule(mid, "OUT_OF_ORDER"));
+  EXPECT_EQ(mid.issues[0].record_index, 2u);
+  EXPECT_TRUE(has_rule(sort_report("refs.bam", {next_ref, lo}),
+                       "OUT_OF_ORDER"));
+}
+
 TEST(ValidateFile, IssueCapDoesNotStopCounting) {
   TempDir tmp;
   SamHeader header = v_header();
