@@ -1,14 +1,14 @@
 // Transport benchmark: the same minimpi operations measured over every
-// backend (threads ranks, shm ring-buffer processes, tcp loopback
-// processes), plus the paper-cluster simulator's communication parameters
-// for the "simulated vs real ranks" comparison in EXPERIMENTS.md.
+// backend (threads ranks and tcp loopback processes), plus the
+// paper-cluster simulator's communication parameters for the "simulated
+// vs real ranks" comparison in EXPERIMENTS.md.
 //
 // Emits BENCH_transport.json (path configurable with --json):
 //
 //   "backends": per-transport measurements —
 //       setup_s        one empty mpi::run() at `ranks` ranks: world
-//                      bootstrap + teardown (fork/exec, shm mapping, tcp
-//                      mesh dial-in are all in here)
+//                      bootstrap + teardown (fork and tcp mesh dial-in
+//                      are both in here)
 //       pingpong_us    half round-trip of an 8-byte message, rank 0 <-> 1
 //       bandwidth_mbps 0 -> 1 stream of `--mb` MiB messages, acked
 //       barrier_us     one N-rank barrier
@@ -19,9 +19,8 @@
 //       constants (bench_util.h paper_cluster()), for calibrating the
 //       simulator's collective costs against the real transports.
 //
-// The threads backend measures pure mailbox/condition-variable cost; shm
-// adds ring copies + futex wakeups across address spaces; tcp adds the
-// loopback stack. Run under perf or with --reps scaled up for profiling.
+// The threads backend measures pure mailbox/condition-variable cost; tcp
+// adds address-space crossings and the loopback stack. Run under perf or with --reps scaled up for profiling.
 //
 // Usage: bench_transport [--ranks N] [--reps R] [--mb M] [--json PATH]
 
@@ -179,7 +178,7 @@ int main(int argc, char** argv) {
   std::printf("=== minimpi transport comparison (%d ranks, %d reps) ===\n",
               ranks, reps);
   std::vector<BackendResult> results;
-  for (const char* backend : {"threads", "shm", "tcp"}) {
+  for (const char* backend : {"threads", "tcp"}) {
     results.push_back(
         measure_backend(backend, ranks, reps, stream_mb << 20));
     const BackendResult& r = results.back();

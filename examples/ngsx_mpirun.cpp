@@ -1,26 +1,21 @@
 // ngsx_mpirun: launch N real processes as one minimpi world.
 //
-//   ngsx_mpirun -n 4 [--transport shm|tcp] -- ./ngsx_convert in.sam out.bamx
+//   ngsx_mpirun -n 4 -- ./ngsx_convert in.sam out.bamx
 //
 // Each rank is a fork+exec of the given command with NGSX_MPI_RANK /
-// NGSX_MPI_SIZE / NGSX_MPI_TRANSPORT set; inside the program, mpi::run()
-// sees the launched world and joins it instead of spawning threads
-// (mpi::launched(), docs/DISTRIBUTED.md "Launched worlds").
+// NGSX_MPI_SIZE set and NGSX_MPI_TRANSPORT=tcp; inside the program,
+// mpi::run() sees the launched world and joins it instead of spawning
+// threads (mpi::launched(), docs/DISTRIBUTED.md "Launched worlds").
 //
-// World fabric created here before the first fork:
-//   shm  an unlinked shared-memory file (NGSX_MPI_SHM_FD) that every rank
-//        maps; the launcher keeps its own mapping so it can abort the
-//        world when a rank dies without unwinding.
-//   tcp  a pre-bound rendezvous listener handed to rank 0 via
-//        NGSX_MPI_TCP_LISTEN_FD; every rank gets its address in
-//        NGSX_MPI_TCP_RENDEZVOUS. Crash detection is the transport's own
-//        EOF-without-FIN rule, so no launcher-side abort hook is needed.
+// Before the first fork the launcher binds the rendezvous listener and
+// hands it to rank 0 via NGSX_MPI_TCP_LISTEN_FD; every rank gets its
+// address in NGSX_MPI_TCP_RENDEZVOUS. Crash detection is the transport's
+// own EOF-without-FIN rule, so no launcher-side abort hook is needed.
 //
 // Exit status: 0 when every rank exits 0; otherwise the first failing
 // rank's status (128+signal for signaled ranks), with a one-line
 // description on stderr.
 
-#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -31,7 +26,6 @@
 #include <vector>
 
 #include "mpi/launch.h"
-#include "mpi/transport.h"
 
 namespace mpid = ngsx::mpi::detail;
 
@@ -39,14 +33,12 @@ namespace {
 
 void usage(std::FILE* out) {
   std::fprintf(out,
-               "usage: ngsx_mpirun -n <ranks> [--transport shm|tcp] -- "
-               "<program> [args...]\n"
+               "usage: ngsx_mpirun -n <ranks> -- <program> [args...]\n"
                "\n"
                "Runs <program> as <ranks> cooperating processes forming one\n"
-               "minimpi world (see docs/DISTRIBUTED.md).\n"
+               "minimpi world over tcp (see docs/DISTRIBUTED.md).\n"
                "\n"
                "  -n, --ranks N      number of ranks (required, >= 1)\n"
-               "      --transport T  shm (default, same host) or tcp\n"
                "  -h, --help         this message\n");
 }
 
@@ -70,7 +62,6 @@ void setenv_int(const char* name, long value) {
 
 int main(int argc, char** argv) {
   int nranks = 0;
-  std::string transport = "shm";
   int progi = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -80,12 +71,6 @@ int main(int argc, char** argv) {
         return 64;
       }
       nranks = std::atoi(argv[++i]);
-    } else if (a == "--transport") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "ngsx_mpirun: --transport needs a value\n");
-        return 64;
-      }
-      transport = argv[++i];
     } else if (a == "-h" || a == "--help") {
       usage(stdout);
       return 0;
@@ -105,35 +90,14 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 64;
   }
-  if (transport != "shm" && transport != "tcp") {
-    std::fprintf(stderr,
-                 "ngsx_mpirun: --transport must be shm or tcp (threads "
-                 "ranks live inside one process; just run the program)\n");
-    return 64;
-  }
-
-  // World fabric, created before the first fork so children inherit it.
-  int shm_fd = -1;
-  void* shm_base = nullptr;
-  uint64_t shm_bytes = 0;
+  // The rendezvous listener, bound before the first fork so rank 0
+  // inherits it.
   int listen_fd = -1;
   try {
-    if (transport == "shm") {
-      const uint64_t ring = mpid::shm_ring_bytes();
-      shm_bytes = mpid::shm_region_bytes(nranks, ring);
-      shm_fd = mpid::shm_create_fd(nranks, ring);
-      shm_base = ::mmap(nullptr, shm_bytes, PROT_READ | PROT_WRITE,
-                        MAP_SHARED, shm_fd, 0);
-      if (shm_base == MAP_FAILED) {
-        std::fprintf(stderr, "ngsx_mpirun: mmap of world region failed\n");
-        return 71;
-      }
-    } else {
-      uint16_t port = 0;
-      listen_fd = mpid::tcp_bind_listener("127.0.0.1", &port);
-      ::setenv("NGSX_MPI_TCP_RENDEZVOUS",
-               ("127.0.0.1:" + std::to_string(port)).c_str(), 1);
-    }
+    uint16_t port = 0;
+    listen_fd = mpid::tcp_bind_listener("127.0.0.1", &port);
+    ::setenv("NGSX_MPI_TCP_RENDEZVOUS",
+             ("127.0.0.1:" + std::to_string(port)).c_str(), 1);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ngsx_mpirun: %s\n", e.what());
     return 71;
@@ -141,11 +105,8 @@ int main(int argc, char** argv) {
 
   // Environment shared by every rank (children inherit, then override
   // their rank between fork and exec).
-  ::setenv("NGSX_MPI_TRANSPORT", transport.c_str(), 1);
+  ::setenv("NGSX_MPI_TRANSPORT", "tcp", 1);
   setenv_int("NGSX_MPI_SIZE", nranks);
-  if (shm_fd >= 0) {
-    setenv_int("NGSX_MPI_SHM_FD", shm_fd);
-  }
 
   std::vector<pid_t> pids(static_cast<size_t>(nranks), -1);
   for (int r = 0; r < nranks; ++r) {
@@ -160,13 +121,11 @@ int main(int argc, char** argv) {
     }
     if (pid == 0) {
       setenv_int("NGSX_MPI_RANK", r);
-      if (listen_fd >= 0) {
-        // Only rank 0 owns the rendezvous listener.
-        if (r == 0) {
-          setenv_int("NGSX_MPI_TCP_LISTEN_FD", listen_fd);
-        } else {
-          ::close(listen_fd);
-        }
+      // Only rank 0 owns the rendezvous listener.
+      if (r == 0) {
+        setenv_int("NGSX_MPI_TCP_LISTEN_FD", listen_fd);
+      } else {
+        ::close(listen_fd);
       }
       ::execvp(argv[progi], argv + progi);
       std::fprintf(stderr, "ngsx_mpirun: cannot exec '%s': %s\n",
@@ -205,25 +164,9 @@ int main(int argc, char** argv) {
           WIFSIGNALED(status) ? 128 + WTERMSIG(status) : WEXITSTATUS(status);
       first_reason = describe_exit(rank, status);
     }
-    if (failed && shm_base != nullptr) {
-      // A rank that unwound cleanly already aborted the world itself and
-      // this is a first-wins no-op; a rank that died without unwinding
-      // left the others blocked in futex waits, and this wakes them.
-      mpid::shm_abort_region(
-          shm_base,
-          mpid::ErrorInfo{"Error", describe_exit(rank, status)});
-    }
   }
 
-  if (shm_base != nullptr) {
-    ::munmap(shm_base, shm_bytes);
-  }
-  if (shm_fd >= 0) {
-    ::close(shm_fd);
-  }
-  if (listen_fd >= 0) {
-    ::close(listen_fd);
-  }
+  ::close(listen_fd);
   if (first_failure != 0) {
     std::fprintf(stderr, "%s\n", first_reason.c_str());
   }

@@ -11,6 +11,10 @@
 // FDR threshold selection (Algorithm 2) -> enriched regions, printed as
 // BED rows (and optionally written to --peaks).
 //
+// Under `ngsx_mpirun -n N` every rank runs this main(): --ranks defaults
+// to N (mpi::run() requires the two to match), every rank computes the
+// same result, and only rank 0 prints it or writes files.
+//
 // Exit status: 0 on success, 1 when the analysis fails or no threshold
 // reaches the target FDR, 2 on a usage error (missing or unknown flag).
 
@@ -18,10 +22,11 @@
 #include <numeric>
 
 #include "formats/bam.h"
+#include "formats/bed.h"
+#include "mpi/minimpi.h"
 #include "simdata/histsim.h"
 #include "stats/histogram.h"
 #include "stats/peaks.h"
-#include "formats/bed.h"
 #include "util/cli.h"
 #include "util/strutil.h"
 
@@ -48,22 +53,26 @@ int main(int argc, char** argv) {
   if (in.empty()) {
     return usage(argv[0]);
   }
+  const bool primary = !mpi::launched() || mpi::launched_rank() == 0;
   try {
     args.reject_unknown({"in", "bin", "ranks", "fdr", "simulations", "seed",
                          "r", "l", "sigma", "min-bins", "merge-gap",
                          "bedgraph", "peaks"});
     const int bin_size = static_cast<int>(args.get_int("bin", 25));
-    const int ranks = static_cast<int>(args.get_int("ranks", 4));
+    const int ranks = static_cast<int>(
+        args.get_int("ranks", mpi::launched() ? mpi::launched_size() : 4));
 
     // 1. Histogram.
     auto histogram = strutil::ends_with(in, ".bam")
                          ? stats::histogram_from_bam(in, bin_size)
                          : stats::histogram_from_sam(in, bin_size);
     std::vector<double> signal = histogram.flatten();
-    std::fprintf(stderr, "histogram: %zu bins of %d bp\n", signal.size(),
-                 bin_size);
+    if (primary) {
+      std::fprintf(stderr, "histogram: %zu bins of %d bp\n", signal.size(),
+                   bin_size);
+    }
     const std::string bedgraph_out = args.get("bedgraph", "");
-    if (!bedgraph_out.empty()) {
+    if (!bedgraph_out.empty() && primary) {
       histogram.write_bedgraph(bedgraph_out);
       std::fprintf(stderr, "wrote %s\n", bedgraph_out.c_str());
     }
@@ -86,9 +95,14 @@ int main(int argc, char** argv) {
     params.merge_gap = static_cast<size_t>(args.get_int("merge-gap", 2));
     stats::PeakCallResult result = stats::call_peaks(signal, nulls, params);
     if (result.p_t < 0) {
-      std::fprintf(stderr, "no threshold reaches FDR <= %.3f\n",
-                   params.target_fdr);
+      if (primary) {
+        std::fprintf(stderr, "no threshold reaches FDR <= %.3f\n",
+                     params.target_fdr);
+      }
       return 1;
+    }
+    if (!primary) {
+      return 0;
     }
     std::fprintf(stderr, "threshold p_t=%d, FDR %.4f, %zu regions\n",
                  result.p_t, result.fdr, result.regions.size());

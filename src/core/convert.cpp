@@ -234,7 +234,7 @@ ConvertStats run_static(const std::string& out_dir,
     fill(comm, part);
     part.close();
     // Publishes every rank's totals into `locals` on every transport. Under
-    // threads one writer (rank 0) fills the shared vector; under shm/tcp
+    // threads one writer (rank 0) fills the shared vector; under tcp
     // each process owns a private copy, so every rank fills its own, which
     // gives correct totals on all ranks of a launched world.
     const std::vector<LocalStats> all =

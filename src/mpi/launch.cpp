@@ -2,20 +2,20 @@
 //
 // The two multi-process run() drivers.
 //
-// run_forked: a standalone binary asked for shm/tcp ranks. The calling
+// run_forked: a standalone binary asked for tcp ranks. The calling
 // process becomes rank 0 and forks ranks 1..N-1, so one test or bench
 // binary can exercise every backend, and rank 0's lambda captures (the
 // place results conventionally land) live in the caller's own address
 // space. Each child reports failures over a pipe as an ErrorInfo; a
-// supervisor thread watches for abnormal deaths and aborts the world so
-// surviving ranks unblock instead of hanging.
+// supervisor thread watches for abnormal deaths and aborts the world with
+// an error naming the dead rank (the transport's own EOF-without-FIN
+// detection cannot say how the rank ended).
 //
 // run_launched: this process was exec'd by ngsx_mpirun and *is* one rank.
 // The world endpoint is a process-lived singleton shared by every run()
 // call; each call is one epoch, and an implicit trailing barrier gives
 // run() the same "all ranks finished" meaning it has under threads.
 
-#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -86,27 +86,16 @@ struct Child {
   int status = 0;
 };
 
-std::unique_ptr<Endpoint> make_process_endpoint(Transport t, void* shm_base,
-                                                const TcpConfig& cfg,
-                                                int rank, int nranks) {
-  if (t == Transport::kShm) {
-    return make_shm_endpoint(shm_base, rank, nranks);
-  }
-  return make_tcp_endpoint(cfg, rank, nranks);
-}
-
 /// Child-rank main: builds its endpoint, runs the body, converts any
 /// failure into (abort + error pipe + nonzero exit). Never returns.
-[[noreturn]] void child_main(Transport t, void* shm_base,
-                             const TcpConfig& cfg, int rank, int nranks,
+[[noreturn]] void child_main(const TcpConfig& cfg, int rank, int nranks,
                              const std::function<void(Comm&)>& body,
                              int err_fd) {
   int code = 0;
   try {
     set_ranks_share_address_space(false);
     obs::set_thread_name("mpi.rank");
-    std::unique_ptr<Endpoint> ep =
-        make_process_endpoint(t, shm_base, cfg, rank, nranks);
+    std::unique_ptr<Endpoint> ep = make_tcp_endpoint(cfg, rank, nranks);
     Comm comm = make_comm(ep.get());
     try {
       obs::Span span("mpi", "rank");
@@ -119,7 +108,7 @@ std::unique_ptr<Endpoint> make_process_endpoint(Transport t, void* shm_base,
       write_all(err_fd, encode_error(info));
       code = 1;
     }
-    ep.reset();  // graceful teardown (tcp FIN / shm drain) before exit
+    ep.reset();  // graceful teardown (tcp FIN) before exit
   } catch (...) {
     // Endpoint setup or teardown failed; the world may not exist yet, so
     // the pipe is the only channel.
@@ -135,29 +124,14 @@ std::unique_ptr<Endpoint> make_process_endpoint(Transport t, void* shm_base,
 }  // namespace
 
 void run_forked(int nranks, const std::function<void(Comm&)>& body) {
-  const Transport t = transport();
-
-  // World fabric, created before any fork so children inherit it: the
-  // shared mapping for shm, a bound rendezvous listener for tcp.
-  void* shm_base = nullptr;
-  uint64_t shm_bytes = 0;
-  TcpConfig cfg;
-  if (t == Transport::kShm) {
-    const uint64_t ring = shm_ring_bytes();
-    shm_bytes = shm_region_bytes(nranks, ring);
-    shm_base = ::mmap(nullptr, shm_bytes, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-    NGSX_CHECK_MSG(shm_base != MAP_FAILED,
-                   "mmap of minimpi shared region failed");
-    shm_init_region(shm_base, nranks, ring);
-  } else {
-    cfg = tcp_config_from_env();
-    cfg.rendezvous_host = "127.0.0.1";
-    cfg.advertise_host = "127.0.0.1";
-    uint16_t port = 0;
-    cfg.listen_fd = tcp_bind_listener("127.0.0.1", &port);
-    cfg.rendezvous_port = port;
-  }
+  // The rendezvous listener is bound before any fork so children inherit
+  // its address.
+  TcpConfig cfg = tcp_config_from_env();
+  cfg.rendezvous_host = "127.0.0.1";
+  cfg.advertise_host = "127.0.0.1";
+  uint16_t port = 0;
+  cfg.listen_fd = tcp_bind_listener("127.0.0.1", &port);
+  cfg.rendezvous_port = port;
 
   std::vector<Child> kids;
   kids.reserve(static_cast<size_t>(nranks - 1));
@@ -173,17 +147,13 @@ void run_forked(int nranks, const std::function<void(Comm&)>& body) {
       }
       TcpConfig child_cfg = cfg;
       child_cfg.listen_fd = -1;  // rank 0's listener belongs to the parent
-      child_main(t, shm_base, child_cfg, r, nranks, body, pfd[1]);
+      child_main(child_cfg, r, nranks, body, pfd[1]);
     }
     ::close(pfd[1]);
     kids.push_back(Child{pid, r, pfd[0]});
   }
 
-  auto cleanup_fabric = [&] {
-    if (shm_base != nullptr) {
-      ::munmap(shm_base, shm_bytes);
-      shm_base = nullptr;
-    }
+  auto close_fds = [&] {
     if (cfg.listen_fd >= 0) {
       ::close(cfg.listen_fd);
       cfg.listen_fd = -1;
@@ -200,7 +170,7 @@ void run_forked(int nranks, const std::function<void(Comm&)>& body) {
   std::unique_ptr<Endpoint> ep;
   try {
     set_ranks_share_address_space(false);
-    ep = make_process_endpoint(t, shm_base, cfg, 0, nranks);
+    ep = make_tcp_endpoint(cfg, 0, nranks);
   } catch (...) {
     // The world never formed; children may be blocked in their own
     // bootstrap. Kill and reap them, then report our failure.
@@ -211,12 +181,12 @@ void run_forked(int nranks, const std::function<void(Comm&)>& body) {
       ::waitpid(k.pid, &k.status, 0);
     }
     set_ranks_share_address_space(true);
-    cleanup_fabric();
+    close_fds();
     throw;
   }
 
   // Watch for ranks dying without a clean abort (crash, _exit, signal) and
-  // turn them into a world abort so survivors unblock.
+  // turn them into a world abort that names the rank.
   std::thread supervisor([&] {
     size_t reaped = 0;
     while (reaped < kids.size()) {
@@ -275,7 +245,7 @@ void run_forked(int nranks, const std::function<void(Comm&)>& body) {
     }
   }
   set_ranks_share_address_space(true);
-  cleanup_fabric();
+  close_fds();
 
   // Report the first failure: the world's first-wins record when it holds
   // a real error; otherwise the lowest failing rank's piped error; then
@@ -315,23 +285,6 @@ std::unique_ptr<Endpoint> g_launched_ep;
 uint32_t g_launched_epoch = 0;
 bool g_launched_failed = false;
 
-std::unique_ptr<Endpoint> make_launched_endpoint(Transport t, int rank,
-                                                 int nranks) {
-  if (t == Transport::kShm) {
-    const int fd = static_cast<int>(env_u64("NGSX_MPI_SHM_FD", 0));
-    NGSX_CHECK_MSG(fd > 0, "launched shm world requires NGSX_MPI_SHM_FD");
-    const uint64_t bytes = shm_region_bytes(nranks, shm_ring_bytes());
-    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
-                        fd, 0);
-    NGSX_CHECK_MSG(base != MAP_FAILED,
-                   "mmap of NGSX_MPI_SHM_FD region failed");
-    // The mapping is process-lived (like the endpoint singleton that owns
-    // it); the fd itself is no longer needed.
-    return make_shm_endpoint(base, rank, nranks);
-  }
-  return make_tcp_endpoint(tcp_config_from_env(), rank, nranks);
-}
-
 }  // namespace
 
 void run_launched(int nranks, const std::function<void(Comm&)>& body) {
@@ -349,7 +302,7 @@ void run_launched(int nranks, const std::function<void(Comm&)>& body) {
   }
   if (!g_launched_ep) {
     set_ranks_share_address_space(false);
-    g_launched_ep = make_launched_endpoint(transport(), rank, size);
+    g_launched_ep = make_tcp_endpoint(tcp_config_from_env(), rank, size);
   } else {
     g_launched_ep->begin_epoch(++g_launched_epoch);
   }

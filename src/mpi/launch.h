@@ -1,18 +1,14 @@
 // ngsx/mpi/launch.h
 //
-// Internal: the run() drivers behind the three transports, plus the
+// Internal: the run() drivers behind the two transports, plus the tcp
 // world-bootstrap helpers shared between the library and the ngsx_mpirun
-// launcher (region creation for shm, listener creation for tcp, and the
-// crash-abort hooks the launcher uses when a rank dies abnormally).
+// launcher.
 //
 // Environment protocol (normative description in docs/DISTRIBUTED.md):
 //
-//   NGSX_MPI_TRANSPORT            threads | shm | tcp (default threads)
+//   NGSX_MPI_TRANSPORT            threads | tcp (default threads)
 //   NGSX_MPI_RANK / NGSX_MPI_SIZE set by ngsx_mpirun: this process is one
 //                                 rank of a launched world
-//   NGSX_MPI_SHM_RING_BYTES       per-pair ring capacity (default 256 KiB)
-//   NGSX_MPI_SHM_FD               launched shm world: inherited fd of the
-//                                 shared region
 //   NGSX_MPI_TCP_RENDEZVOUS       host:port of rank 0's listener
 //   NGSX_MPI_TCP_LISTEN_FD        rank 0 under ngsx_mpirun: inherited
 //                                 pre-bound listener fd
@@ -38,7 +34,7 @@ namespace ngsx::mpi::detail {
 /// Ranks are threads of this process (the historical minimpi behavior).
 void run_threads(int nranks, const std::function<void(Comm&)>& body);
 
-/// Standalone shm/tcp: this process becomes rank 0 and forks ranks 1..N-1.
+/// Standalone tcp: this process becomes rank 0 and forks ranks 1..N-1.
 void run_forked(int nranks, const std::function<void(Comm&)>& body);
 
 /// Under ngsx_mpirun: this process is one rank of a persistent world.
@@ -46,34 +42,6 @@ void run_launched(int nranks, const std::function<void(Comm&)>& body);
 
 /// Flips what mpi::ranks_share_address_space() reports for this process.
 void set_ranks_share_address_space(bool shared);
-
-// ---- shm world bootstrap --------------------------------------------------
-
-/// Per-pair ring capacity: NGSX_MPI_SHM_RING_BYTES or 256 KiB, rounded up
-/// to a multiple of 64 and at least 4 KiB.
-uint64_t shm_ring_bytes();
-
-/// Total shared-region size for an nranks world (header + doorbells +
-/// nranks^2 rings), page-rounded.
-uint64_t shm_region_bytes(int nranks, uint64_t ring_bytes);
-
-/// Lays out and zero-initializes a world header in `base` (which must be
-/// shm_region_bytes() long).
-void shm_init_region(void* base, int nranks, uint64_t ring_bytes);
-
-/// Creates an unlinked, inheritable shared-memory file (in /dev/shm when
-/// available) holding an initialized region; returns its fd. Used by
-/// ngsx_mpirun, which passes the fd to every rank via NGSX_MPI_SHM_FD.
-int shm_create_fd(int nranks, uint64_t ring_bytes);
-
-/// Records `info` as the world's failure and wakes every rank — the
-/// launcher's crash path when a rank dies without aborting cleanly.
-void shm_abort_region(void* base, const ErrorInfo& info);
-
-/// Endpoint over an already-mapped region (fork mode inherits the mapping;
-/// launched mode mmaps NGSX_MPI_SHM_FD first).
-std::unique_ptr<Endpoint> make_shm_endpoint(void* base, int rank,
-                                            int nranks);
 
 // ---- tcp world bootstrap --------------------------------------------------
 

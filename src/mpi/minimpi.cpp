@@ -19,14 +19,11 @@ Transport transport() {
   if (v == nullptr || *v == '\0' || std::strcmp(v, "threads") == 0) {
     return Transport::kThreads;
   }
-  if (std::strcmp(v, "shm") == 0) {
-    return Transport::kShm;
-  }
   if (std::strcmp(v, "tcp") == 0) {
     return Transport::kTcp;
   }
-  throw UsageError(std::string("NGSX_MPI_TRANSPORT must be threads, shm or "
-                               "tcp; got '") +
+  throw UsageError(std::string("NGSX_MPI_TRANSPORT must be threads or tcp; "
+                               "got '") +
                    v + "'");
 }
 
@@ -34,8 +31,6 @@ const char* transport_name() {
   switch (transport()) {
     case Transport::kThreads:
       return "threads";
-    case Transport::kShm:
-      return "shm";
     case Transport::kTcp:
       return "tcp";
   }
@@ -216,7 +211,7 @@ void run(int nranks, const std::function<void(Comm&)>& body) {
     if (launched()) {
       throw UsageError(
           "NGSX_MPI_TRANSPORT=threads inside an ngsx_mpirun world would run "
-          "the whole job once per process; use shm or tcp");
+          "the whole job once per process; use tcp");
     }
     detail::run_threads(nranks, body);
     return;

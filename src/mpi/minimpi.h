@@ -17,12 +17,10 @@
 // NGSX_MPI_TRANSPORT (read at each run() call):
 //
 //   threads  each rank is an OS thread of this process (the default)
-//   shm      each rank is a process on this host; messages cross
-//            shared-memory ring buffers
 //   tcp      each rank is a process (any host); messages cross TCP
 //            connections
 //
-// Under shm/tcp, run() either forks its own ranks (standalone binaries:
+// Under tcp, run() either forks its own ranks (standalone binaries:
 // rank 0 is the calling process, ranks 1..N-1 are forked children) or
 // joins a world launched by `ngsx_mpirun` (every rank is a separate
 // exec'd process). docs/DISTRIBUTED.md is the normative contract for all
@@ -40,10 +38,10 @@
 //
 // Error handling: if any rank throws, the world is aborted, blocked ranks
 // are woken with AbortError, and run() rethrows the first failure (for the
-// process backends, an exception of the same ngsx error family,
+// tcp backend, an exception of the same ngsx error family,
 // reconstructed from the failing rank's error).
 //
-// Multi-process correctness: under shm/tcp the rank bodies execute in
+// Multi-process correctness: under tcp the rank bodies execute in
 // separate address spaces, so lambda captures are per-rank *copies* — a
 // rank writing into a captured vector is invisible to the others. Code
 // that must work on every backend routes results through the communicator
@@ -86,17 +84,16 @@ Comm make_comm(Endpoint* ep);
 
 enum class Transport {
   kThreads,  // ranks are OS threads of this process (default)
-  kShm,      // ranks are same-host processes, shared-memory rings
   kTcp,      // ranks are processes, TCP connections
 };
 
 /// The transport run() will use, resolved from NGSX_MPI_TRANSPORT
-/// ("threads" | "shm" | "tcp"; unset or empty means threads). Re-read on
+/// ("threads" | "tcp"; unset or empty means threads). Re-read on
 /// every call, so tests can switch backends between run()s. Throws
 /// UsageError on an unrecognized value.
 Transport transport();
 
-/// "threads", "shm" or "tcp" for the current transport().
+/// "threads" or "tcp" for the current transport().
 const char* transport_name();
 
 /// True when this process was started by `ngsx_mpirun` (NGSX_MPI_RANK /
@@ -107,7 +104,7 @@ int launched_rank();  // 0 when not launched
 int launched_size();  // 1 when not launched
 
 /// True when all ranks of the innermost active run() share this process's
-/// address space (threads backend). False inside shm/tcp rank bodies.
+/// address space (threads backend). False inside tcp rank bodies.
 /// Multi-backend code uses this to gate single-writer stores into captured
 /// shared state:
 ///
@@ -128,8 +125,8 @@ class Comm {
   // ---- point-to-point -----------------------------------------------------
 
   /// Buffered (eager) send; never blocks on the receiver. May block
-  /// transiently for transport buffer space (shm ring capacity, TCP socket
-  /// buffers) — see docs/DISTRIBUTED.md "Buffering bounds".
+  /// transiently for TCP socket buffer space — see docs/DISTRIBUTED.md
+  /// "Buffering bounds".
   void send(int dest, int tag, std::string_view payload);
 
   /// Blocks until a message with matching (source, tag) arrives. Messages
@@ -143,7 +140,7 @@ class Comm {
   // representation, byte for byte — which is only meaningful when T is
   // trivially copyable (enforced below) AND every rank runs a binary with
   // the same ABI: same endianness, same type sizes, same struct padding.
-  // That holds trivially for threads/shm (one binary, one host) and for
+  // That holds trivially for threads (one binary, one process) and for
   // tcp ranks launched from the same build on same-endian hosts; the tcp
   // handshake verifies endianness at connect time and refuses mixed-endian
   // worlds rather than silently corrupting values. Cross-ABI portability
@@ -343,9 +340,9 @@ class Comm {
 ///
 /// Backend-specific behavior (normative details in docs/DISTRIBUTED.md):
 ///  * threads — each rank is a thread of this process.
-///  * shm/tcp, standalone — this process becomes rank 0 and forks ranks
+///  * tcp, standalone — this process becomes rank 0 and forks ranks
 ///    1..N-1; run() returns after every child has exited.
-///  * shm/tcp, launched (`ngsx_mpirun -n N prog`) — this process is rank
+///  * tcp, launched (`ngsx_mpirun -n N prog`) — this process is rank
 ///    launched_rank() of a persistent N-rank world; nranks must equal N,
 ///    every rank must call run() the same number of times in the same
 ///    order, and run() ends with an implicit barrier.

@@ -6,16 +6,6 @@
 
 #include "mpi/minimpi.h"
 
-#ifdef __linux__
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#include <time.h>
-#include <unistd.h>
-#else
-#include <chrono>
-#include <thread>
-#endif
-
 namespace ngsx::mpi::detail {
 
 // ------------------------------------------------------------ error marshal
@@ -153,37 +143,6 @@ void Mailbox::begin_epoch(uint32_t epoch) {
     it = queues_.erase(it);
   }
 }
-
-// ------------------------------------------------------------------- futex
-
-#ifdef __linux__
-
-void futex_wait(const std::atomic<uint32_t>* addr, uint32_t expected) {
-  // Bounded wait so callers re-check abort flags even if a wake is lost
-  // (e.g. the waker process died between the store and the FUTEX_WAKE).
-  struct timespec timeout = {0, 50 * 1000 * 1000};  // 50ms
-  // Non-private futex: the same code works on a MAP_SHARED mapping used by
-  // several processes (the shm backend) and on ordinary process memory.
-  syscall(SYS_futex, reinterpret_cast<const uint32_t*>(addr), FUTEX_WAIT,
-          expected, &timeout, nullptr, 0);
-}
-
-void futex_wake_all(const std::atomic<uint32_t>* addr) {
-  syscall(SYS_futex, reinterpret_cast<const uint32_t*>(addr), FUTEX_WAKE,
-          INT32_MAX, nullptr, nullptr, 0);
-}
-
-#else  // !__linux__
-
-void futex_wait(const std::atomic<uint32_t>* addr, uint32_t expected) {
-  if (addr->load(std::memory_order_acquire) == expected) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
-void futex_wake_all(const std::atomic<uint32_t>*) {}
-
-#endif
 
 // --------------------------------------------------------------------- env
 

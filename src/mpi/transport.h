@@ -4,28 +4,24 @@
 //
 // A *transport* moves tagged byte messages between ranks; everything above
 // it (typed helpers, collectives, barrier, the run() drivers) is transport
-// agnostic. Three backends implement the seam (docs/DISTRIBUTED.md is the
+// agnostic. Two backends implement the seam (docs/DISTRIBUTED.md is the
 // normative contract):
 //
 //   * threads — ranks are OS threads of one process; send deposits straight
 //     into the destination's mailbox (transport_threads.cpp).
-//   * shm     — ranks are processes on one host; one shared-memory SPSC
-//     byte ring per directed rank pair, futex wakeups
-//     (transport_shm.cpp).
 //   * tcp     — ranks are processes on one or more hosts; one duplex
 //     length-prefixed-frame connection per rank pair, rendezvous through a
 //     rank-0 listener (transport_tcp.cpp).
 //
 // Every backend preserves the minimpi semantics: eager (buffered) sends,
 // FIFO delivery per (source, tag), blocking recv, abort wakes every blocked
-// rank. The process backends additionally stamp each message with a world
+// rank. The tcp backend additionally stamps each message with a world
 // *epoch* (one per run() call in a launched world) so messages a finished
 // run never received cannot leak into the next run — mirroring the threads
 // backend, where undelivered messages die with the World object.
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -64,7 +60,7 @@ ErrorInfo decode_error(std::string_view bytes);
 // ----------------------------------------------------------------- mailbox
 
 /// Per-rank incoming-message store: (epoch, source, tag) -> FIFO queue.
-/// Delivery and matching are decoupled so the process backends' receiver
+/// Delivery and matching are decoupled so the tcp backend's receiver
 /// threads can demultiplex frames while the application thread blocks in
 /// recv(). Thread-safe.
 class Mailbox {
@@ -107,15 +103,15 @@ class Endpoint {
   int size() const { return size_; }
 
   /// Eager send: enqueues/transmits without waiting for a matching recv.
-  /// May block transiently for transport buffer space (shm ring capacity,
-  /// tcp socket buffer) but never for receiver-side matching.
+  /// May block transiently for tcp socket buffer space but never for
+  /// receiver-side matching.
   virtual void send(int dest, int tag, std::string_view payload) = 0;
 
   virtual std::string recv(int src, int tag) = 0;
   virtual bool probe(int src, int tag) = 0;
 
   /// Records this rank's failure and wakes every rank in the world
-  /// (including remote ones, for the process backends). Idempotent;
+  /// (including remote ones, for tcp). Idempotent;
   /// the first recorded error wins.
   virtual void abort(const ErrorInfo& info) = 0;
 
@@ -140,17 +136,6 @@ class Endpoint {
   int rank_;
   int size_;
 };
-
-// ------------------------------------------------------------------- futex
-
-/// Waits until *addr != expected, with a bounded internal timeout so
-/// callers can re-check abort flags; spurious returns are expected.
-/// Process-shared (plain FUTEX_WAIT, not FUTEX_PRIVATE) on Linux;
-/// a short sleep elsewhere.
-void futex_wait(const std::atomic<uint32_t>* addr, uint32_t expected);
-
-/// Wakes every futex_wait()er on addr.
-void futex_wake_all(const std::atomic<uint32_t>* addr);
 
 // --------------------------------------------------------------------- env
 

@@ -22,7 +22,7 @@
 //
 // Teardown: a graceful endpoint sends FIN on every connection; a reader
 // that sees EOF *without* FIN knows the peer died and aborts the world —
-// that is the crash-detection path (no supervisor needed, unlike shm).
+// that is the crash-detection path.
 
 #include <arpa/inet.h>
 #include <netdb.h>

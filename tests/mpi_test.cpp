@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpi/minimpi.h"
@@ -304,6 +306,28 @@ TEST(MiniMpi, InvalidRankChecked) {
 
 TEST(MiniMpi, ZeroRanksRejected) {
   EXPECT_THROW(run(0, [](Comm&) {}), Error);
+}
+
+TEST(MiniMpi, UnknownTransportNameRejected) {
+  // The first name is the retired shared-memory backend: it must now fail
+  // like any other unknown name, before a rank starts, and the message
+  // must list the valid ones.
+  for (const char* name : {"shm", "carrier-pigeon"}) {
+    ::setenv("NGSX_MPI_TRANSPORT", name, 1);
+    bool ran = false;
+    try {
+      run(2, [&](Comm&) { ran = true; });
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const UsageError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("threads"), std::string::npos) << what;
+      EXPECT_NE(what.find("tcp"), std::string::npos) << what;
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+    EXPECT_THROW(transport(), UsageError) << name;
+    EXPECT_FALSE(ran) << name;
+    ::unsetenv("NGSX_MPI_TRANSPORT");
+  }
 }
 
 TEST(MiniMpi, PipelineNeighborExchange) {

@@ -1,6 +1,6 @@
 // Transport parity: the minimpi semantics contract (docs/DISTRIBUTED.md)
 // run against every backend. Each test sets NGSX_MPI_TRANSPORT and calls
-// the ordinary mpi::run() entry point; for shm/tcp that forks real child
+// the ordinary mpi::run() entry point; for tcp that forks real child
 // processes, so rank bodies assert with NGSX_CHECK (which propagates
 // through the abort/rethrow path) rather than gtest macros (which would be
 // invisible in a child).
@@ -62,8 +62,8 @@ TEST_P(TransportTest, P2pFifoPerSourceAndTag) {
 }
 
 TEST_P(TransportTest, LargeMessagesStreamThroughBoundedBuffers) {
-  // 3 MiB payloads: far beyond the default 256 KiB shm ring, so eager
-  // sends must stream while the receiver drains.
+  // 3 MiB payloads: far beyond a loopback socket's send buffer, so eager
+  // sends must stream while the peer's reader thread drains.
   mpi::run(2, [](mpi::Comm& c) {
     std::vector<uint32_t> big(3 * 1024 * 1024 / 4);
     std::iota(big.begin(), big.end(), 17u);
@@ -245,12 +245,13 @@ TEST_P(TransportTest, InvalidPeerRankChecked) {
 
 TEST_P(TransportTest, CrashedRankAbortsInsteadOfHanging) {
   if (!multiprocess()) {
-    GTEST_SKIP() << "a crashing rank only exists with process backends";
+    GTEST_SKIP() << "a crashing rank only exists with the tcp backend";
   }
   // Rank 2 dies without unwinding (no abort, no FIN, no error pipe). The
-  // survivors are blocked in unmatchable recvs; crash detection (waitpid
-  // for shm, EOF-without-FIN for tcp) must abort the world so run()
-  // throws instead of hanging — and the launched equivalent exits nonzero.
+  // survivors are blocked in unmatchable recvs; crash detection (the fork
+  // runner's waitpid supervisor, or tcp's EOF-without-FIN) must abort the
+  // world so run() throws instead of hanging — and the launched equivalent
+  // exits nonzero.
   try {
     mpi::run(4, [](mpi::Comm& c) {
       if (c.rank() == 2) {
@@ -268,6 +269,6 @@ TEST_P(TransportTest, CrashedRankAbortsInsteadOfHanging) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportTest,
-                         ::testing::Values("threads", "shm", "tcp"));
+                         ::testing::Values("threads", "tcp"));
 
 }  // namespace
