@@ -10,12 +10,17 @@
 // extra compress/decompress cycle per record. The dup-marking rows cost
 // two input passes by construction.
 //
+// --threads T (default 1) sets the BGZF decode and record-parse workers,
+// which are also the deflate workers of the name-grouped and
+// duplicate-marked BAM outputs.
+//
 // Emits BENCH_collate.json (path configurable with --json). Exits
 // non-zero when a "spilling" row wrote no spill runs, and, with
 // --floor N, unless the in-memory FASTQ-export row sustains at least
 // N records/s — the CI regression gate.
 //
-// Usage: bench_collate [--pairs N] [--repeats R] [--json PATH] [--floor N]
+// Usage: bench_collate [--pairs N] [--repeats R] [--threads T]
+//                      [--json PATH] [--floor N]
 
 #include <algorithm>
 #include <cstdio>
@@ -38,6 +43,7 @@ struct Row {
   double seconds = 0.0;
   double records_per_s = 0.0;
   uint64_t spill_runs = 0;
+  uint64_t spilled_bytes = 0;
 };
 
 }  // namespace
@@ -48,6 +54,11 @@ int main(int argc, char** argv) {
   const int repeats = static_cast<int>(args.get_int("repeats", 3));
   const std::string json_path = args.get("json", "BENCH_collate.json");
   const double floor = static_cast<double>(args.get_int("floor", 0));
+  const int threads = static_cast<int>(args.get_int("threads", 1));
+  if (threads < 1) {
+    std::fprintf(stderr, "FATAL: --threads must be >= 1\n");
+    return 2;
+  }
 
   obs::enable_metrics();
 
@@ -62,12 +73,14 @@ int main(int argc, char** argv) {
     cfg.seed = 7;
     records = simdata::write_bam_dataset(bam_path, genome, pairs, cfg);
   }
-  std::printf("dataset: %llu records, %.1f MB BAM\n",
+  std::printf("dataset: %llu records, %.1f MB BAM, %d thread(s)\n",
               static_cast<unsigned long long>(records),
-              file_size(bam_path) / 1e6);
+              file_size(bam_path) / 1e6, threads);
 
   core::CollateOptions in_memory;
   in_memory.temp_dir = tmp.path();
+  in_memory.decode_threads = threads;
+  in_memory.parse_threads = threads;
   core::CollateOptions spilling = in_memory;
   // Force heavy spilling: ~20 runs over the dataset.
   spilling.max_records_in_memory = std::max<size_t>(64, records / 20);
@@ -87,13 +100,16 @@ int main(int argc, char** argv) {
       core::CollateStats stats = fn();
       row.seconds = std::min(row.seconds, stats.seconds);
       row.spill_runs = stats.spill_runs;
+      row.spilled_bytes = stats.spilled_bytes;
     }
     row.records_per_s = static_cast<double>(records) / row.seconds;
     rows.push_back(row);
-    std::printf("  %-16s %-10s %8.3f s  %12.0f records/s  %llu runs\n",
+    std::printf("  %-16s %-10s %8.3f s  %12.0f records/s  %llu runs"
+                "  %.2f MB spilled\n",
                 program.c_str(), config.c_str(), row.seconds,
                 row.records_per_s,
-                static_cast<unsigned long long>(row.spill_runs));
+                static_cast<unsigned long long>(row.spill_runs),
+                row.spilled_bytes / 1e6);
     return row;
   };
 
@@ -132,6 +148,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"records\": %llu,\n",
                static_cast<unsigned long long>(records));
   std::fprintf(f, "  \"bam_mb\": %.2f,\n", file_size(bam_path) / 1e6);
+  std::fprintf(f, "  \"threads\": %d,\n", threads);
   std::fprintf(f, "  \"spill_budget\": %llu,\n",
                static_cast<unsigned long long>(
                    spilling.max_records_in_memory));
@@ -144,10 +161,11 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"program\": \"%s\", \"config\": \"%s\", "
                  "\"seconds\": %.4f, \"records_per_s\": %.0f, "
-                 "\"spill_runs\": %llu}%s\n",
+                 "\"spill_runs\": %llu, \"spilled_bytes\": %llu}%s\n",
                  r.program.c_str(), r.config.c_str(), r.seconds,
                  r.records_per_s,
                  static_cast<unsigned long long>(r.spill_runs),
+                 static_cast<unsigned long long>(r.spilled_bytes),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

@@ -76,8 +76,8 @@ int usage(const char* prog) {
                "drop-dups (streaming duplicate marking). --collate-mem N\n"
                "caps in-memory records before spilling, --temp-dir DIR\n"
                "redirects spill runs, --no-orphans drops orphaned mates\n"
-               "from FASTQ export, --threads T sets the parse workers\n"
-               "(0 = auto)\n",
+               "from FASTQ export, --threads T sets the parse and\n"
+               "BGZF-compression workers (0 = auto)\n",
                prog);
   return 2;
 }

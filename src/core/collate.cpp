@@ -58,10 +58,15 @@ void mirror_metrics(const CollateStats& s) {
   m.dups_marked.add(s.dup_records);
 }
 
+/// options.parse_threads resolved: 0 = hardware width, at least 1.
+int parse_width(const CollateOptions& options) {
+  return options.parse_threads == 0 ? exec::hardware_threads()
+                                    : std::max(1, options.parse_threads);
+}
+
 SortOptions to_sort_options(const CollateOptions& options) {
   SortOptions out;
   out.max_records_in_memory = options.max_records_in_memory;
-  out.compression_level = options.compression_level;
   out.temp_dir = options.temp_dir;
   return out;
 }
@@ -225,8 +230,7 @@ SamHeader read_header(const std::string& path) {
 
 void for_each_record(const std::string& path, const CollateOptions& options,
                      const std::function<void(AlignmentRecord&&)>& fn) {
-  const int workers = options.parse_threads == 0 ? exec::hardware_threads()
-                                                 : options.parse_threads;
+  const int workers = parse_width(options);
   if (workers <= 1 || !strutil::ends_with(path, ".bam")) {
     AlignmentInput in(path, options.decode_threads);
     AlignmentRecord rec;
@@ -391,7 +395,8 @@ CollateStats collate_to_bam(const std::string& in_path,
                   [&](AlignmentRecord&& rec) { sorter.push(std::move(rec)); });
   stats.records = sorter.total();
 
-  bam::BamFileWriter writer(out_bam, header, options.compression_level);
+  bam::BamFileWriter writer(out_bam, header, options.compression_level,
+                            parse_width(options));
   drain_groups(sorter, [&](std::vector<AlignmentRecord>&& group) {
     auto [r1, r2] = primary_pair(group);
     if (r1 != nullptr) {
@@ -521,7 +526,8 @@ CollateStats mark_duplicates(const std::string& in_path,
     sorter.push(std::move(rec));
   });
 
-  bam::BamFileWriter writer(out_bam, header, options.compression_level);
+  bam::BamFileWriter writer(out_bam, header, options.compression_level,
+                            parse_width(options));
   drain_groups(sorter, [&](std::vector<AlignmentRecord>&& group) {
     bool duplicate = false;
     auto [r1, r2] = primary_pair(group);

@@ -56,7 +56,7 @@ struct CollateOptions {
   /// When the bucket fills, its entire contents spill as one run.
   size_t max_records_in_memory = 1'000'000;
 
-  /// BGZF level for spill runs and BAM outputs.
+  /// BGZF level for BAM outputs (spill runs always use level 1).
   int compression_level = 6;
 
   /// Directory for spill runs; empty = alongside the output.
@@ -67,7 +67,9 @@ struct CollateOptions {
 
   /// Record-decode workers: BAM record bodies are parsed on an
   /// exec::ordered_pipeline when > 1 (0 = auto = hardware width). The
-  /// consumer always sees records strictly in file order.
+  /// consumer always sees records strictly in file order. BAM outputs
+  /// (collate_to_bam, mark_duplicates) deflate their BGZF blocks on the
+  /// same number of workers; their bytes do not depend on it.
   int parse_threads = 1;
 
   /// Raw record bodies per parse-pipeline batch.

@@ -65,6 +65,12 @@ namespace {
 /// name covers concurrent *processes* sharing a temp_dir.
 std::atomic<uint64_t> g_run_token{0};
 
+/// BGZF level for spill runs. Runs never leave the process and the merge
+/// reads records, not bytes, so the fastest level costs nothing in the
+/// output. They stay on one deflate thread: the background spill stage
+/// already overlaps their compression with the next buffer's fill.
+constexpr int kSpillLevel = 1;
+
 }  // namespace
 
 ExternalSorter::ExternalSorter(SamHeader header,
@@ -125,7 +131,7 @@ void ExternalSorter::flush_run() {
   spill_stage_.submit([this, run_path = std::move(run_path),
                        records = std::move(spill_buffer)]() mutable {
     std::stable_sort(records.begin(), records.end(), less_);
-    bam::BamFileWriter writer(run_path, header_, options_.compression_level);
+    bam::BamFileWriter writer(run_path, header_, kSpillLevel);
     for (const auto& rec : records) {
       writer.write(rec);
     }

@@ -45,9 +45,6 @@ struct SortOptions {
   /// fills, peak residency can briefly reach ~1.5x this budget.
   size_t max_records_in_memory = 1'000'000;
 
-  /// BGZF level for spill runs.
-  int compression_level = 6;
-
   /// Directory for spill runs; empty = alongside the output file.
   std::string temp_dir;
 };

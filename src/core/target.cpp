@@ -98,7 +98,8 @@ bool format_sam_line(const AlignmentRecord& rec, const SamHeader& header,
   return true;
 }
 
-/// BAM target on BGZF.
+/// BAM target on BGZF. Each rank writes its own part file, so the P ranks
+/// already fill the cores: one deflate thread per writer.
 class BamTargetWriter final : public TargetWriter {
  public:
   BamTargetWriter(const std::string& path, const SamHeader& header)

@@ -1,8 +1,8 @@
 // ngsx/exec/pool.h
 //
 // Thread pool: the shared execution engine behind the preprocessor,
-// read-pair collation, the parallel BGZF reader and writer, and the
-// serving scheduler (see docs/EXEC.md).
+// read-pair collation, the parallel BGZF reader, multi-threaded BGZF
+// writers, and the serving scheduler (see docs/EXEC.md).
 //
 // Every client hands the pool coarse work — long-lived pipeline workers
 // or one task per shard — so the pool is one mutex-guarded task queue

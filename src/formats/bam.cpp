@@ -301,19 +301,18 @@ void encode_header(const SamHeader& header, std::string& out) {
 // ------------------------------------------------------------ BamFileWriter
 
 BamFileWriter::BamFileWriter(const std::string& path,
-                             const SamHeader& header, int compression_level)
-    : out_(path, compression_level) {
+                             const SamHeader& header, int compression_level,
+                             int threads)
+    : out_(path, compression_level, threads) {
   scratch_.clear();
   encode_header(header, scratch_);
   out_.write(scratch_);
 }
 
-uint64_t BamFileWriter::write(const sam::AlignmentRecord& rec) {
-  uint64_t voffset = out_.tell();
+void BamFileWriter::write(const sam::AlignmentRecord& rec) {
   scratch_.clear();
   encode_record(rec, scratch_);
   out_.write(scratch_);
-  return voffset;
 }
 
 void BamFileWriter::close() { out_.close(); }

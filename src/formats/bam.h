@@ -39,19 +39,18 @@ void decode_record(std::string_view body, sam::AlignmentRecord& rec);
 /// Serializes the BAM header section (magic, text, reference dictionary).
 void encode_header(const sam::SamHeader& header, std::string& out);
 
-/// Streaming BAM writer over BGZF.
+/// Streaming BAM writer over BGZF. `threads` > 1 deflates BGZF blocks on
+/// that many workers (bgzf::Writer); the file bytes do not depend on it.
 class BamFileWriter {
  public:
   BamFileWriter(const std::string& path, const sam::SamHeader& header,
-                int compression_level = 6);
+                int compression_level = 6, int threads = 1);
 
-  /// Writes one record and returns the virtual offset where it begins
-  /// (for index construction).
-  uint64_t write(const sam::AlignmentRecord& rec);
+  void write(const sam::AlignmentRecord& rec);
 
   void close();
 
-  /// Compressed bytes emitted so far (excludes the open BGZF block).
+  /// Compressed bytes committed so far; exact after close().
   uint64_t compressed_bytes() const { return out_.compressed_bytes(); }
 
  private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "exec/pipeline.h"
+#include "exec/pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/simd.h"
@@ -214,20 +216,54 @@ size_t decompress_block(std::string_view block, std::string& out) {
 
 // -------------------------------------------------------------------- Writer
 
-Writer::Writer(const std::string& path, int level)
+struct Writer::Workers {
+  Workers(Writer& owner, int threads, int level)
+      : pool(threads),
+        pipeline(
+            pool,
+            [level](std::string&& raw) {
+              // One long-lived codec stream per worker thread.
+              thread_local Deflater deflater;
+              std::string block;
+              deflater.compress(raw, block, level);
+              return block;
+            },
+            [&owner](std::string&& block) { owner.commit(block); }) {}
+
+  exec::Pool pool;
+  exec::Pipeline<std::string, std::string> pipeline;
+};
+
+Writer::Writer(const std::string& path, int level, int threads)
     : out_(std::make_unique<OutputFile>(path)), deflater_(level) {
+  NGSX_CHECK_MSG(threads >= 1, "need at least one compression worker");
+  if (threads > 1) {
+    workers_ = std::make_unique<Workers>(*this, threads, level);
+  }
   pending_.reserve(kMaxBlockInput);
 }
 
 Writer::~Writer() {
   // Destruction without close() is a rollback, not a commit: flushing the
   // tail and publishing the file here would turn an unwinding error path
-  // into a silently truncated-but-committed BGZF stream. The OutputFile
-  // destructor discards the staging file.
+  // into a silently truncated-but-committed BGZF stream.
   if (!closed_) {
     closed_ = true;
-    out_->discard();
+    abandon();
   }
+}
+
+void Writer::abandon() noexcept {
+  if (workers_ != nullptr) {
+    // The sink writes out_ from the pipeline's driver thread: join it
+    // before discarding.
+    try {
+      workers_->pipeline.finish();
+    } catch (...) {
+      // Already rolling back; the first error was or will be reported.
+    }
+  }
+  out_->discard();
 }
 
 void Writer::write(std::string_view data) {
@@ -243,11 +279,6 @@ void Writer::write(std::string_view data) {
   }
 }
 
-uint64_t Writer::tell() const {
-  return make_voffset(compressed_offset_,
-                      static_cast<uint32_t>(pending_.size()));
-}
-
 void Writer::flush_block() {
   if (!pending_.empty()) {
     emit_block();
@@ -255,11 +286,31 @@ void Writer::flush_block() {
 }
 
 void Writer::emit_block() {
-  scratch_.clear();
-  deflater_.compress(pending_, scratch_);
-  out_->write(scratch_);
-  compressed_offset_ += scratch_.size();
-  pending_.clear();
+  try {
+    if (workers_ != nullptr) {
+      std::string raw = std::move(pending_);
+      pending_.clear();
+      pending_.reserve(kMaxBlockInput);
+      // Blocks while the pipeline is full; rethrows its first error.
+      workers_->pipeline.push(std::move(raw));
+      return;
+    }
+    scratch_.clear();
+    deflater_.compress(pending_, scratch_);
+    commit(scratch_);
+    pending_.clear();
+  } catch (...) {
+    // A failed block leaves a hole in the stream: roll back now, so a
+    // later close() cannot publish the file without it.
+    closed_ = true;
+    abandon();
+    throw;
+  }
+}
+
+void Writer::commit(std::string_view block) {
+  out_->write(block);
+  compressed_bytes_ += block.size();
 }
 
 void Writer::close() {
@@ -269,11 +320,13 @@ void Writer::close() {
   closed_ = true;
   try {
     flush_block();
-    out_->write(eof_marker());
-    compressed_offset_ += eof_marker().size();
+    if (workers_ != nullptr) {
+      workers_->pipeline.finish();  // drain; rethrows the first error
+    }
+    commit(eof_marker());
     out_->close();
   } catch (...) {
-    out_->discard();
+    abandon();
     throw;
   }
 }

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,7 +61,7 @@ constexpr uint32_t voffset_uoffset(uint64_t v) {
 /// per-block stream setup the free function pays. With the default zlib
 /// backend, output is byte-identical to compress_block at the same level
 /// (deflate is deterministic for fixed parameters). Not thread-safe; use
-/// one per thread (the parallel writer keeps one per worker).
+/// one per thread (a multi-threaded Writer keeps one per worker).
 class Deflater {
  public:
   explicit Deflater(int level = 6, Backend backend = Backend::kAuto);
@@ -128,11 +129,24 @@ size_t peek_block_size(std::string_view data);
 /// Inflater.
 size_t decompress_block(std::string_view block, std::string& out);
 
-/// Streaming BGZF writer: buffers appended bytes and emits full blocks.
-/// Appends the EOF marker on close().
+/// Streaming BGZF writer: buffers appended bytes, cuts them into blocks of
+/// kMaxBlockInput (or at flush_block()), and appends the EOF marker on
+/// close(). At one thread each block is deflated inline on the caller's
+/// thread. With `threads` > 1, blocks are deflated on that many pool
+/// workers and committed in file order through an exec::Pipeline; its
+/// default window and input capacity (2 * threads + 4 blocks each) bound
+/// the memory in flight. The block boundaries come from the same
+/// write()/flush_block()/close() code either way, and deflate is
+/// deterministic at a fixed level, so the file bytes do not depend on
+/// `threads`.
+///
+/// Errors: the first deflate or write error surfaces from the call that
+/// observes it (write()/flush_block(), or close() for errors still in
+/// flight) and rolls the output back. Destruction without close() is a
+/// rollback too: nothing is published.
 class Writer {
  public:
-  explicit Writer(const std::string& path, int level = 6);
+  explicit Writer(const std::string& path, int level = 6, int threads = 1);
   ~Writer();
 
   Writer(const Writer&) = delete;
@@ -143,28 +157,34 @@ class Writer {
     write(std::string_view(static_cast<const char*>(data), n));
   }
 
-  /// Virtual offset where the *next* byte written will land. Flushing rules
-  /// mirror BGZF semantics: the compressed offset is the file position of
-  /// the currently open block.
-  uint64_t tell() const;
-
-  /// Ends the current block (if non-empty) so that tell() moves to a fresh
-  /// block boundary; used by the BAM writer to align the header.
+  /// Ends the current block (if non-empty), so the next byte written
+  /// starts a fresh block.
   void flush_block();
 
+  /// Drains the workers, appends the EOF marker and publishes the file;
+  /// rethrows the first compression or write error. Idempotent.
   void close();
 
-  /// Compressed bytes emitted so far (excludes the open block's buffer).
-  uint64_t compressed_bytes() const { return compressed_offset_; }
+  /// Compressed bytes committed to the file so far (excludes the open
+  /// block and blocks still deflating); exact after close().
+  uint64_t compressed_bytes() const { return compressed_bytes_; }
 
  private:
+  struct Workers;  // pool + ordered deflate pipeline (threads > 1 only)
+
   void emit_block();
+  /// Appends one finished block to the file (the pipeline's ordered sink
+  /// at threads > 1).
+  void commit(std::string_view block);
+  /// Joins the workers and discards the output. Never throws.
+  void abandon() noexcept;
 
   std::unique_ptr<OutputFile> out_;
-  std::string pending_;      // uncompressed bytes of the open block
-  std::string scratch_;      // compressed block scratch
-  uint64_t compressed_offset_ = 0;  // file offset of the open block
-  Deflater deflater_;
+  std::string pending_;  // uncompressed bytes of the open block
+  std::string scratch_;  // compressed block scratch (inline path)
+  Deflater deflater_;    // inline path; workers keep one per thread
+  std::atomic<uint64_t> compressed_bytes_{0};
+  std::unique_ptr<Workers> workers_;  // declared last: joined first
   bool closed_ = false;
 };
 

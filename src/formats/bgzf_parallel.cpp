@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 
+#include "exec/pipeline.h"
 #include "formats/bgzf.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,109 +27,12 @@ ParallelReaderMetrics& reader_metrics() {
   return m;
 }
 
-// Producer backpressure: cap in-flight blocks so a fast producer cannot
-// balloon memory while compression workers lag.
-constexpr size_t kMaxInFlight = 64;
-
-exec::PipelineOptions pipeline_options(int threads) {
-  exec::PipelineOptions opt;
-  opt.workers = threads;
-  opt.window = kMaxInFlight;
-  opt.capacity = kMaxInFlight;
-  return opt;
-}
-
 int checked_threads(int threads) {
-  NGSX_CHECK_MSG(threads >= 1, "need at least one compression worker");
+  NGSX_CHECK_MSG(threads >= 1, "need at least one decode worker");
   return threads;
 }
 
 }  // namespace
-
-ParallelWriter::ParallelWriter(const std::string& path, int threads,
-                               int level)
-    : path_(path), level_(level),
-      out_(std::make_unique<OutputFile>(path)),
-      pool_(checked_threads(threads)),
-      pipeline_(
-          pool_,
-          [level](std::string&& raw) {
-            // One long-lived z_stream per worker thread, recycled via
-            // deflateReset (a level change falls back to reinit).
-            thread_local Deflater deflater;
-            std::string block;
-            deflater.compress(raw, block, level);
-            return block;
-          },
-          [this](std::string&& block) { out_->write(block); },
-          pipeline_options(threads)) {
-  pending_.reserve(kMaxBlockInput);
-}
-
-ParallelWriter::~ParallelWriter() {
-  // Destruction without close() rolls the output back (see bgzf::Writer).
-  // The pipeline must be drained first: its sink writes out_ from the
-  // driver side, so discarding while workers run would race.
-  if (!closed_) {
-    closed_ = true;
-    try {
-      pipeline_.finish();
-    } catch (const std::exception&) {
-      // Already rolling back; the first error was or will be reported by
-      // whoever abandoned this writer.
-    }
-    out_->discard();
-  }
-}
-
-void ParallelWriter::write(std::string_view data) {
-  NGSX_CHECK_MSG(!closed_, "write on closed parallel BGZF writer");
-  while (!data.empty()) {
-    size_t room = kMaxBlockInput - pending_.size();
-    size_t take = std::min(room, data.size());
-    pending_.append(data.data(), take);
-    data.remove_prefix(take);
-    if (pending_.size() == kMaxBlockInput) {
-      submit_pending();
-    }
-  }
-}
-
-void ParallelWriter::flush_block() {
-  if (!pending_.empty()) {
-    submit_pending();
-  }
-}
-
-void ParallelWriter::submit_pending() {
-  std::string raw = std::move(pending_);
-  pending_.clear();
-  pending_.reserve(kMaxBlockInput);
-  pipeline_.push(std::move(raw));  // blocks on backpressure; rethrows errors
-}
-
-void ParallelWriter::close() {
-  if (closed_) {
-    return;
-  }
-  closed_ = true;
-  try {
-    if (!pending_.empty()) {
-      submit_pending();
-    }
-    pipeline_.finish();  // drain; rethrows the first compression/write error
-    out_->write(eof_marker());
-    out_->close();
-  } catch (...) {
-    try {
-      pipeline_.finish();  // join workers before touching out_
-    } catch (const std::exception&) {
-      // First error wins; it is already in flight.
-    }
-    out_->discard();
-    throw;
-  }
-}
 
 // ---------------------------------------------------------- ParallelReader
 

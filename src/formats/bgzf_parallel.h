@@ -1,29 +1,16 @@
 // ngsx/formats/bgzf_parallel.h
 //
-// Multi-threaded BGZF codec endpoints, htslib's `--threads` idea applied
-// to both directions: BGZF blocks are independent gzip members, so
-// compression *and* decompression — the dominant CPU costs of writing and
-// reading BAM — parallelize perfectly once the block framing is known.
-//
-// ParallelWriter: input is cut into the same fixed-size blocks as the
-// sequential bgzf::Writer and fed through an exec::Pipeline (bounded
-// input channel -> pool-parallel compression -> ordered sink), so the
-// output file is byte-identical to the sequential writer's (deflate is
-// deterministic at a fixed level), just produced with more cores.
-// tell() / virtual offsets are intentionally absent: compressed offsets
-// only materialize after compression, and the bulk-output paths this
-// writer serves (converter part files) never need them. Use bgzf::Writer
-// when building indexes.
-//
-// ParallelReader: the dual pipeline on the decode side (the paper accepts
-// BAM reading as inherently sequential; block-level inflation is the part
-// that is not). A framing scanner walks BSIZE headers to produce
-// compressed-block extents, worker threads inflate blocks concurrently
-// (each holding a long-lived z_stream recycled via inflateReset), and an
-// ordered committer hands the payloads back in file order through the
-// same ReaderBase API as the sequential reader — byte-identical output,
-// with a bounded readahead window and seek invalidation so virtual-offset
-// random access still works.
+// Multi-threaded BGZF reader, htslib's `--threads` idea applied to the
+// decode side (the write side is bgzf::Writer's `threads` argument): BGZF
+// blocks are independent gzip members, so inflation parallelizes once the
+// block framing is known. The paper accepts BAM reading as inherently
+// sequential; block-level inflation is the part that is not. A framing
+// scanner walks BSIZE headers to produce compressed-block extents, worker
+// threads inflate blocks concurrently (each holding a long-lived z_stream
+// recycled via inflateReset), and an ordered committer hands the payloads
+// back in file order through the same ReaderBase API as the sequential
+// reader — byte-identical output, with a bounded readahead window and
+// seek invalidation so virtual-offset random access still works.
 
 #pragma once
 
@@ -35,49 +22,12 @@
 #include <thread>
 
 #include "exec/channel.h"
-#include "exec/pipeline.h"
 #include "exec/pool.h"
 #include "formats/bgzf.h"
 #include "util/binio.h"
 #include "util/common.h"
 
 namespace ngsx::bgzf {
-
-class ParallelWriter {
- public:
-  /// `threads` compression workers (>= 1); blocks are committed to the
-  /// file in order by the pipeline's internal driver thread.
-  ParallelWriter(const std::string& path, int threads, int level = 6);
-  ~ParallelWriter();
-
-  ParallelWriter(const ParallelWriter&) = delete;
-  ParallelWriter& operator=(const ParallelWriter&) = delete;
-
-  void write(std::string_view data);
-  void write(const void* data, size_t n) {
-    write(std::string_view(static_cast<const char*>(data), n));
-  }
-
-  /// Ends the current block early (a sequence point in the block stream).
-  void flush_block();
-
-  /// Drains the pipeline, appends the EOF marker, closes the file, and
-  /// rethrows the first worker/writer error if any occurred.
-  void close();
-
- private:
-  void submit_pending();
-
-  std::string path_;
-  int level_;
-  std::unique_ptr<OutputFile> out_;
-
-  std::string pending_;
-  bool closed_ = false;
-
-  exec::Pool pool_;
-  exec::Pipeline<std::string, std::string> pipeline_;
-};
 
 /// Default number of decompressed blocks buffered ahead of the consumer
 /// (the readahead window; also the pipeline's uncommitted-ticket window).

@@ -1,9 +1,8 @@
-// Tests for the multi-threaded BGZF codec endpoints. Writer side:
-// byte-identical output to the sequential writer, correctness under varied
-// block/write patterns. Reader side: ParallelReader must be observationally
-// identical to the sequential Reader — same bytes, same tell() values, same
-// FormatError messages on corrupt input — across random read()/seek()
-// interleavings and thread counts.
+// Tests for the multi-threaded BGZF reader: ParallelReader must be
+// observationally identical to the sequential Reader — same bytes, same
+// tell() values, same FormatError messages on corrupt input — across
+// random read()/seek() interleavings and thread counts. The writer's
+// thread matrix lives in bgzf_test.
 
 #include <gtest/gtest.h>
 
@@ -25,119 +24,6 @@ std::string random_payload(size_t n, uint64_t seed) {
     c = "ACGTNacgtn\t 0123456789"[rng.below(21)];
   }
   return s;
-}
-
-class ParallelThreads : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelThreads, ByteIdenticalToSequentialWriter) {
-  // Same input, same level, same block boundaries -> same file bytes.
-  TempDir tmp;
-  std::string payload = random_payload(1 << 21, 42);  // ~32 blocks
-  {
-    Writer w(tmp.file("seq.bgzf"));
-    w.write(payload);
-    w.close();
-  }
-  {
-    ParallelWriter w(tmp.file("par.bgzf"), GetParam());
-    w.write(payload);
-    w.close();
-  }
-  EXPECT_EQ(read_file(tmp.file("par.bgzf")), read_file(tmp.file("seq.bgzf")));
-}
-
-TEST_P(ParallelThreads, ManySmallWrites) {
-  TempDir tmp;
-  std::string expected;
-  {
-    ParallelWriter w(tmp.file("t.bgzf"), GetParam());
-    Rng rng(7);
-    for (int i = 0; i < 5000; ++i) {
-      std::string piece = random_payload(1 + rng.below(700), 100 + i);
-      expected += piece;
-      w.write(piece);
-    }
-    w.close();
-  }
-  Reader r(tmp.file("t.bgzf"));
-  std::string got(expected.size(), '\0');
-  r.read_exact(got.data(), got.size());
-  EXPECT_EQ(got, expected);
-  EXPECT_TRUE(r.eof());
-}
-
-TEST_P(ParallelThreads, FlushBlockSequencePoints) {
-  TempDir tmp;
-  {
-    ParallelWriter w(tmp.file("t.bgzf"), GetParam());
-    w.write("alpha");
-    w.flush_block();
-    w.write("beta");
-    w.flush_block();
-    w.flush_block();  // idempotent on empty
-    w.write("gamma");
-    w.close();
-  }
-  Reader r(tmp.file("t.bgzf"));
-  char buf[14];
-  r.read_exact(buf, 14);
-  EXPECT_EQ(std::string(buf, 14), "alphabetagamma");
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelThreads,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(ParallelWriterEdge, EmptyFile) {
-  TempDir tmp;
-  {
-    ParallelWriter w(tmp.file("e.bgzf"), 3);
-    w.close();
-  }
-  EXPECT_EQ(read_file(tmp.file("e.bgzf")), std::string(eof_marker()));
-}
-
-TEST(ParallelWriterEdge, DoubleCloseIsIdempotent) {
-  TempDir tmp;
-  ParallelWriter w(tmp.file("t.bgzf"), 2);
-  w.write("data");
-  w.close();
-  w.close();
-  EXPECT_THROW(w.write("more"), Error);
-}
-
-TEST(ParallelWriterEdge, LargeSingleWrite) {
-  TempDir tmp;
-  std::string payload = random_payload(8 << 20, 9);
-  {
-    ParallelWriter w(tmp.file("big.bgzf"), 4, /*level=*/1);
-    w.write(payload);
-    w.close();
-  }
-  Reader r(tmp.file("big.bgzf"));
-  std::string got(payload.size(), '\0');
-  r.read_exact(got.data(), got.size());
-  EXPECT_EQ(got, payload);
-}
-
-TEST(ParallelWriterEdge, BackpressureBoundsMemory) {
-  // More blocks than the in-flight cap; completion must still be exact.
-  TempDir tmp;
-  std::string block(kMaxBlockInput, 'x');
-  {
-    ParallelWriter w(tmp.file("t.bgzf"), 2);
-    for (int i = 0; i < 200; ++i) {  // 200 blocks >> kMaxInFlight
-      w.write(block);
-    }
-    w.close();
-  }
-  Reader r(tmp.file("t.bgzf"));
-  uint64_t total = 0;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = r.read(buf, sizeof(buf))) > 0) {
-    total += got;
-  }
-  EXPECT_EQ(total, 200ull * kMaxBlockInput);
 }
 
 // ------------------------------------------------------------ reader side

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -80,6 +81,16 @@ std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+/// Number of BGZF blocks in `path`, the EOF marker included.
+size_t bam_block_count(const std::string& path) {
+  const std::string bytes = read_bytes(path);
+  size_t blocks = 0;
+  for (size_t pos = 0; pos < bytes.size(); ++blocks) {
+    pos += bgzf::peek_block_size(std::string_view(bytes).substr(pos));
+  }
+  return blocks;
 }
 
 int count_tmp_files(const std::string& dir) {
@@ -264,6 +275,72 @@ std::string write_simulated(TempDir& tmp, uint64_t pairs, uint64_t seed,
   return path;
 }
 
+/// A simulated BAM plus up to `copies` injected positional duplicates of
+/// its mapped pairs, so both duplicate-marking passes have real work.
+std::string write_with_dups(TempDir& tmp, uint64_t pairs, uint64_t seed,
+                            int copies) {
+  SamHeader header;
+  std::string base = write_simulated(tmp, pairs, seed, &header);
+  auto records = read_bam(base);
+  std::map<std::string, std::vector<AlignmentRecord>> groups;
+  for (const auto& rec : records) {
+    groups[rec.qname].push_back(rec);
+  }
+  int copied = 0;
+  for (const auto& [name, group] : groups) {
+    if (copied == copies) {
+      break;
+    }
+    if (group.size() != 2 || group[0].is_unmapped() ||
+        group[1].is_unmapped()) {
+      continue;
+    }
+    for (AlignmentRecord rec : group) {
+      rec.qname = "dupcopy." + std::to_string(copied) + "." + name;
+      records.push_back(rec);
+    }
+    ++copied;
+  }
+  EXPECT_GT(copied, 0);
+  std::string path = tmp.file("with_dups.bam");
+  write_bam(path, header, records);
+  return path;
+}
+
+/// Runs `program` at parse_threads 1 and 4 (4 also deflates the output on
+/// four threads), each in memory and under a spilling budget: every output
+/// must equal the first byte for byte, and spill runs must be cleaned up.
+void expect_identical_across_threads(
+    TempDir& tmp, const std::string& in,
+    const std::function<CollateStats(const std::string&,
+                                     const CollateOptions&)>& program) {
+  const size_t records = read_bam(in).size();
+  std::string expected;
+  for (size_t budget : {size_t{0}, records / 8}) {
+    for (int threads : {1, 4}) {
+      CollateOptions options;
+      options.parse_threads = threads;
+      options.temp_dir = tmp.path();
+      if (budget > 0) {
+        options.max_records_in_memory = budget;
+      }
+      const std::string out = tmp.file("out.bam");
+      CollateStats stats = program(out, options);
+      EXPECT_EQ(stats.records, records);
+      EXPECT_EQ(stats.spill_runs > 0, budget > 0) << "budget " << budget;
+      std::string bytes = read_bytes(out);
+      if (expected.empty()) {
+        expected = bytes;
+        // Enough output for many BGZF blocks in flight at four threads.
+        EXPECT_GT(bam_block_count(out), 8u);
+      }
+      EXPECT_EQ(bytes, expected)
+          << "threads " << threads << ", budget " << budget;
+      EXPECT_EQ(count_tmp_files(tmp.path()), 0);
+    }
+  }
+}
+
 TEST(CollateToBam, NameGroupedOutput) {
   TempDir tmp;
   std::string in = write_simulated(tmp, 300, 7);
@@ -302,6 +379,15 @@ TEST(CollateToBam, ByteIdenticalAcrossBudgets) {
   EXPECT_GT(ext.spill_runs, 2u);
   EXPECT_EQ(read_bytes(tmp.file("mem.bam")), read_bytes(tmp.file("ext.bam")));
   EXPECT_EQ(count_tmp_files(tmp.path()), 0);
+}
+
+TEST(CollateToBam, ByteIdenticalAcrossThreads) {
+  TempDir tmp;
+  std::string in = write_simulated(tmp, 2000, 12);
+  expect_identical_across_threads(
+      tmp, in, [&](const std::string& out, const CollateOptions& options) {
+        return collate_to_bam(in, out, options);
+      });
 }
 
 // ------------------------------------------------------- collate_to_fastq
@@ -512,32 +598,7 @@ TEST(MarkDuplicates, OrphansAndSinglesNeverMarked) {
 
 TEST(MarkDuplicates, ByteIdenticalAcrossBudgets) {
   TempDir tmp;
-  // Simulated base plus injected positional duplicates, so both passes
-  // have real work under spilling.
-  SamHeader header;
-  std::string base = write_simulated(tmp, 200, 10, &header);
-  auto records = read_bam(base);
-  std::map<std::string, std::vector<AlignmentRecord>> groups;
-  for (const auto& rec : records) {
-    groups[rec.qname].push_back(rec);
-  }
-  int copied = 0;
-  for (const auto& [name, group] : groups) {
-    if (group.size() != 2 || group[0].is_unmapped() ||
-        group[1].is_unmapped()) {
-      continue;
-    }
-    for (AlignmentRecord rec : group) {
-      rec.qname = "dupcopy." + std::to_string(copied) + "." + name;
-      records.push_back(rec);
-    }
-    if (++copied == 40) {
-      break;
-    }
-  }
-  ASSERT_GT(copied, 0);
-  std::string in = tmp.file("with_dups.bam");
-  write_bam(in, header, records);
+  std::string in = write_with_dups(tmp, 200, 10, 40);
 
   CollateStats mem = mark_duplicates(in, tmp.file("mem.bam"),
                                      DuplicateMode::kMark);
@@ -558,6 +619,18 @@ TEST(MarkDuplicates, ByteIdenticalAcrossBudgets) {
   mark_duplicates(in, tmp.file("ext_drop.bam"), DuplicateMode::kDrop, tiny);
   EXPECT_EQ(read_bytes(tmp.file("mem_drop.bam")),
             read_bytes(tmp.file("ext_drop.bam")));
+}
+
+TEST(MarkDuplicates, ByteIdenticalAcrossThreads) {
+  TempDir tmp;
+  std::string in = write_with_dups(tmp, 2000, 13, 200);
+  expect_identical_across_threads(
+      tmp, in, [&](const std::string& out, const CollateOptions& options) {
+        CollateStats stats =
+            mark_duplicates(in, out, DuplicateMode::kMark, options);
+        EXPECT_GT(stats.dup_records, 0u);
+        return stats;
+      });
 }
 
 TEST(MarkDuplicates, FeedsBaix2DuplicateFilter) {

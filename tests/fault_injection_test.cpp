@@ -25,11 +25,13 @@
 #include "core/convert.h"
 #include "obs/metrics.h"
 #include "formats/bam.h"
+#include "formats/bgzf.h"
 #include "formats/sam.h"
 #include "simdata/readsim.h"
 #include "testutil.h"
 #include "util/binio.h"
 #include "util/iopolicy.h"
+#include "util/rng.h"
 #include "util/tempdir.h"
 
 namespace ngsx {
@@ -726,6 +728,74 @@ TEST(SortFaults, RetryAfterFaultClearsProducesCorrectOutput) {
   // Byte-identical to a run that never spilled.
   core::collate_to_bam(in, tmp.file("mem.bam"));
   EXPECT_EQ(read_file(tmp.file("out.bam")), read_file(tmp.file("mem.bam")));
+}
+
+TEST(BgzfWriterFaults, CloseAfterFailedWritePublishesNothing) {
+  // A block the file lost must not be papered over by a later close():
+  // the first write error rolls the writer back, at one deflate thread
+  // and at four. The fault is one shot, so later writes would succeed.
+  Rng rng(5);
+  std::string payload(bgzf::kMaxBlockInput * 64, '\0');  // > 1 MB buffer
+  for (auto& c : payload) {
+    c = static_cast<char>(rng.below(256));  // incompressible
+  }
+  for (int threads : {1, 4}) {
+    TempDir tmp("bgzf-fault");
+    FaultScope scope("out.bgzf", make_fault(io::Op::kWrite,
+                                            io::FaultKind::kEnospc, 64, 1));
+    bgzf::Writer w(tmp.file("out.bgzf"), 1, threads);
+    EXPECT_THROW(w.write(payload), IoError) << "threads " << threads;
+    w.close();  // no-op after the rollback
+    EXPECT_TRUE(fs::is_empty(tmp.path())) << "threads " << threads;
+  }
+}
+
+TEST(CollateFaults, EnospcOnThreadedMarkDuplicatesOutputPublishesNothing) {
+  // mark_duplicates deflates its output on four threads, so the failing
+  // write happens in the BGZF pipeline's commit sink, off the caller's
+  // thread. The error must still surface, and the rollback must publish
+  // neither the final BAM nor a staging file and leave no spill run.
+  TempDir tmp("markdup-fault");
+  const std::string in = tmp.file("in.bam");
+  {
+    auto genome = simdata::ReferenceGenome::simulate(
+        simdata::mouse_like_references(1000000), 73);
+    simdata::ReadSimConfig cfg;
+    cfg.seed = 73;
+    simdata::write_bam_dataset(in, genome, 8000, cfg);
+  }
+  const std::string final_dir = tmp.file("final");
+  const std::string spill_dir = tmp.file("spill");
+  fs::create_directories(final_dir);
+  fs::create_directories(spill_dir);
+  core::CollateOptions options = spilling_options(spill_dir);
+  options.max_records_in_memory = 4000;
+  options.parse_threads = 4;
+  const std::string out = final_dir + "/markdup.bam";
+  {
+    // One shot: the writes after the failed one succeed, so only the
+    // writer's own error path keeps a file with a hole from being
+    // published.
+    FaultScope scope("final/", make_fault(io::Op::kWrite,
+                                          io::FaultKind::kEnospc, 64, 1));
+    try {
+      core::mark_duplicates(in, out, core::DuplicateMode::kMark, options);
+      FAIL() << "mark_duplicates succeeded despite the injected ENOSPC";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("[injected fault]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(count_files_under(final_dir), 0);
+  EXPECT_EQ(count_files_under(spill_dir), 0);
+  // Fault cleared: the rerun spills, publishes, and writes more than the
+  // output buffer, so the fault above hit mid-stream, not in close().
+  const core::CollateStats stats =
+      core::mark_duplicates(in, out, core::DuplicateMode::kMark, options);
+  EXPECT_GT(stats.spill_runs, 0u);
+  EXPECT_GT(file_size(out), uint64_t{1} << 20);
+  EXPECT_EQ(count_files_under(spill_dir), 0);
 }
 
 }  // namespace
