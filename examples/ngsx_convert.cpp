@@ -51,18 +51,17 @@ int usage(const char* prog) {
                "usage: %s --in FILE.{sam,bam} --to FORMAT --out DIR\n"
                "          [--ranks N] [--region chr:beg-end]\n"
                "          [--region-mode start|overlap]\n"
-               "          [--decode-threads D] [--preprocess-threads P]\n"
+               "          [--preprocess-threads P]\n"
                "          [--preprocess [--m M]]\n"
                "          [--no-header] [--metrics FILE.json]\n"
                "          [--metrics-interval SEC] [--trace FILE.json]\n"
                "FORMAT: sam bam bed bedgraph fasta fastq json yaml\n"
                "--ranks N converts with N ranks, one part file each\n"
-               "--ranks 0 / --decode-threads 0 auto-detect the hardware\n"
-               "width; --decode-threads sets the BGZF inflate workers used\n"
-               "while reading BAM input\n"
+               "--ranks 0 auto-detects the hardware width\n"
                "--preprocess-threads sets the width of the single-pass BAM\n"
-               "preprocessor (0 = auto, 1 = sequential), which emits a BAMXM\n"
-               "shard manifest + BAIX next to the part files\n"
+               "preprocessor and its BGZF inflate workers (0 = auto, 1 =\n"
+               "sequential), which emits a BAMXM shard manifest + BAIX next\n"
+               "to the part files\n"
                "--region-mode start (default) keeps the BAIX start-keyed\n"
                "query; overlap builds a BAIX v2 and selects every alignment\n"
                "overlapping the region (see docs/FILEFORMATS.md)\n"
@@ -76,8 +75,8 @@ int usage(const char* prog) {
                "drop-dups (streaming duplicate marking). --collate-mem N\n"
                "caps in-memory records before spilling, --temp-dir DIR\n"
                "redirects spill runs, --no-orphans drops orphaned mates\n"
-               "from FASTQ export, --threads T sets the parse and\n"
-               "BGZF-compression workers (0 = auto)\n",
+               "from FASTQ export, --threads T sets the BGZF inflate, parse\n"
+               "and BGZF-compression workers (0 = auto)\n",
                prog);
   return 2;
 }
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
 
   try {
     args.reject_unknown({"in", "out", "to", "ranks", "region", "region-mode",
-                         "decode-threads", "preprocess-threads", "preprocess",
+                         "preprocess-threads", "preprocess",
                          "m", "no-header", "metrics", "metrics-interval",
                          "trace", "collate", "collate-mem", "temp-dir",
                          "no-orphans", "threads"});
@@ -147,14 +146,6 @@ int main(int argc, char** argv) {
       throw UsageError("--threads applies to --collate only; a conversion "
                        "runs one part per rank (--ranks)");
     }
-    // 0 = auto; the BGZF reader factory resolves it to the hardware
-    // width, so only the sign needs validating here.
-    const int64_t decode_request = args.get_int("decode-threads", 0);
-    if (decode_request < 0) {
-      throw UsageError("--decode-threads must be >= 0 (0 = auto)");
-    }
-    const int decode_threads = static_cast<int>(decode_request);
-
     // Metrics power the stage summary, so they are always on; tracing is
     // opt-in (it buffers every span until exit).
     const std::string metrics_path = args.get("metrics", "");
@@ -203,12 +194,12 @@ int main(int argc, char** argv) {
       if (collate_mem > 0) {
         copt.max_records_in_memory = static_cast<size_t>(collate_mem);
       }
-      copt.decode_threads = decode_threads;
-      const int64_t parse_request = args.get_int("threads", 0);
-      if (parse_request < 0) {
+      const int64_t thread_request = args.get_int("threads", 0);
+      if (thread_request < 0) {
         throw UsageError("--threads must be >= 0 (0 = auto)");
       }
-      copt.parse_threads = static_cast<int>(parse_request);
+      copt.parse_threads = static_cast<int>(thread_request);
+      copt.decode_threads = copt.parse_threads;
       copt.temp_dir = args.get("temp-dir", "");
       copt.keep_orphans = !args.get_bool("no-orphans", false);
 
@@ -312,7 +303,7 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(out);
       core::PreprocessOptions popt;
       popt.threads = static_cast<int>(preprocess_request);
-      popt.decode_threads = decode_threads;
+      popt.decode_threads = popt.threads;
       core::PreprocessStats pre;
       on_rank0(
           [&] { pre = core::preprocess_bam_parallel(in, bamx, baix, popt); });

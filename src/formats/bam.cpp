@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "formats/bgzf_parallel.h"
+#include "exec/pool.h"
 #include "formats/seqcodec.h"
 
 namespace ngsx::bam {
@@ -319,23 +319,36 @@ void BamFileWriter::close() { out_.close(); }
 
 // ------------------------------------------------------------ BamFileReader
 
+namespace {
+
+/// Resolves a decode-thread request: 0 means the hardware width, negative
+/// is a usage error.
+int decode_width(int requested) {
+  if (requested < 0) {
+    throw UsageError("decode threads must be >= 0 (0 = auto)");
+  }
+  return requested == 0 ? exec::hardware_threads() : requested;
+}
+
+}  // namespace
+
 BamFileReader::BamFileReader(const std::string& path, int decode_threads)
-    : in_(bgzf::open_reader(path, decode_threads)) {
+    : in_(path, decode_width(decode_threads)) {
   char magic[4];
-  in_->read_exact(magic, 4);
+  in_.read_exact(magic, 4);
   if (std::memcmp(magic, "BAM\1", 4) != 0) {
     throw FormatError("bad BAM magic in '" + path + "'");
   }
   int32_t l_text;
-  in_->read_exact(&l_text, 4);
+  in_.read_exact(&l_text, 4);
   if (l_text < 0 || l_text > (256 << 20)) {
     throw FormatError("implausible l_text in '" + path + "'");
   }
   std::string text(static_cast<size_t>(l_text), '\0');
-  in_->read_exact(text.data(), text.size());
+  in_.read_exact(text.data(), text.size());
 
   int32_t n_ref;
-  in_->read_exact(&n_ref, 4);
+  in_.read_exact(&n_ref, 4);
   if (n_ref < 0) {
     throw FormatError("negative n_ref in '" + path + "'");
   }
@@ -343,15 +356,15 @@ BamFileReader::BamFileReader(const std::string& path, int decode_threads)
   refs.reserve(static_cast<size_t>(n_ref));
   for (int32_t i = 0; i < n_ref; ++i) {
     int32_t l_name;
-    in_->read_exact(&l_name, 4);
+    in_.read_exact(&l_name, 4);
     if (l_name <= 0 || l_name > (1 << 20)) {
       throw FormatError("bad reference name length in '" + path + "'");
     }
     std::string name(static_cast<size_t>(l_name), '\0');
-    in_->read_exact(name.data(), name.size());
+    in_.read_exact(name.data(), name.size());
     name.pop_back();  // trailing NUL
     int32_t l_ref;
-    in_->read_exact(&l_ref, 4);
+    in_.read_exact(&l_ref, 4);
     refs.push_back(sam::Reference{std::move(name), l_ref});
   }
   // Prefer the parsed text (keeps user @PG/@RG lines); fall back to the
@@ -366,7 +379,7 @@ BamFileReader::BamFileReader(const std::string& path, int decode_threads)
 
 bool BamFileReader::next_raw(std::string& body) {
   int32_t block_size;
-  size_t got = in_->read(&block_size, 4);
+  size_t got = in_.read(&block_size, 4);
   if (got == 0) {
     return false;
   }
@@ -379,7 +392,7 @@ bool BamFileReader::next_raw(std::string& body) {
     throw FormatError("bad BAM block_size " + std::to_string(block_size));
   }
   body.resize(static_cast<size_t>(block_size));
-  in_->read_exact(body.data(), body.size());
+  in_.read_exact(body.data(), body.size());
   return true;
 }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,10 +59,10 @@ class BamFileWriter {
 
 /// Streaming BAM reader over BGZF. Record framing is sequential by
 /// construction, but block *inflation* need not be: `decode_threads` > 1
-/// opens the file through bgzf::ParallelReader, overlapping decompression
-/// with record decoding (0 = auto-detect hardware width, 1 = the plain
-/// sequential bgzf::Reader). seek() is only valid with virtual offsets
-/// from tell() or a BAI index either way.
+/// inflates BGZF blocks on that many bgzf::Reader workers, overlapping
+/// decompression with record decoding (0 = auto-detect hardware width,
+/// 1 = inline decode, negative throws UsageError). seek() is only valid
+/// with virtual offsets from tell() or a BAI index either way.
 class BamFileReader {
  public:
   explicit BamFileReader(const std::string& path, int decode_threads = 1);
@@ -71,9 +70,9 @@ class BamFileReader {
   const sam::SamHeader& header() const { return header_; }
 
   /// Virtual offset of the next record (valid to seek back to).
-  uint64_t tell() { return in_->tell(); }
+  uint64_t tell() { return in_.tell(); }
 
-  void seek(uint64_t voffset) { in_->seek(voffset); }
+  void seek(uint64_t voffset) { in_.seek(voffset); }
 
   /// Decodes the next record; returns false at EOF.
   bool next(sam::AlignmentRecord& rec);
@@ -83,7 +82,7 @@ class BamFileReader {
   bool next_raw(std::string& body);
 
  private:
-  std::unique_ptr<bgzf::ReaderBase> in_;
+  bgzf::Reader in_;
   sam::SamHeader header_;
   std::string body_;
 };

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <thread>
 
+#include "exec/channel.h"
 #include "exec/pipeline.h"
 #include "exec/pool.h"
 #include "obs/metrics.h"
@@ -26,8 +29,7 @@ const unsigned char kEofBlock[28] = {
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
 
 /// Decorates a block-level error message with the compressed file offset
-/// when one is known, so concurrent decoders report *where* the stream
-/// broke (the sequential reader uses the same path for message parity).
+/// when one is known, so a decoder reports *where* the stream broke.
 [[noreturn]] void block_error(const std::string& msg, uint64_t coffset) {
   if (coffset == kNoOffset) {
     throw FormatError(msg);
@@ -36,8 +38,8 @@ const unsigned char kEofBlock[28] = {
 }
 
 // Block-codec observability (docs/OBSERVABILITY.md, layer "bgzf").
-// Instrumented here, in the per-block codec, so both the sequential
-// Reader/Writer and the parallel pipelines are covered by the same hooks;
+// Instrumented here, in the per-block codec, so the Reader and Writer are
+// covered by the same hooks at every thread count;
 // each hook is gated on obs::metrics_enabled() (one relaxed load when
 // disarmed).
 struct DecodeMetrics {
@@ -333,7 +335,238 @@ void Writer::close() {
 
 // -------------------------------------------------------------------- Reader
 
-void ReaderBase::read_exact(void* buf, size_t n) {
+namespace {
+
+// Threaded-reader observability: readahead occupancy and the pipeline
+// restarts forced by seeks (Reader at threads > 1).
+struct ReadaheadMetrics {
+  obs::Gauge& depth = obs::gauge("bgzf.decode.readahead_depth");
+  obs::Counter& seek_restarts = obs::counter("bgzf.decode.seek_restarts");
+};
+
+ReadaheadMetrics& readahead_metrics() {
+  static ReadaheadMetrics m;
+  return m;
+}
+
+/// Decoded blocks a threaded Reader buffers ahead of its consumer (2 MiB
+/// of payload), also used as the inflate pipeline's window. A BAM
+/// consumer drains blocks in bursts (one preprocessing chunk is about 20
+/// blocks); at the pipeline's default of 2 * threads + 4, perfbench
+/// bam_region's 4-thread preprocessing (setup_s) ran 9% slower.
+constexpr size_t kReadaheadBlocks = 32;
+
+/// Reads the compressed block that starts at `coffset` into `raw`
+/// (replaced). Returns false at physical end of file; throws FormatError
+/// on a bad header or a truncated block. The one framing step of every
+/// Reader width.
+bool frame_block(const InputFile& file, uint64_t coffset, std::string& raw) {
+  if (coffset >= file.size()) {
+    return false;
+  }
+  char header[kHeaderSize];
+  if (file.pread(header, sizeof(header), coffset) < sizeof(header)) {
+    throw FormatError("truncated BGZF block header at offset " +
+                      std::to_string(coffset));
+  }
+  const size_t total =
+      peek_block_size(std::string_view(header, sizeof(header)));
+  raw.resize(total);
+  if (file.pread(raw.data(), total, coffset) != total) {
+    throw FormatError("truncated BGZF block at offset " +
+                      std::to_string(coffset));
+  }
+  return true;
+}
+
+/// Thrown by the ordered sink to end delivery: the consumer closed the
+/// channel (seek or destruction), or a bad block was just delivered. Not
+/// an ngsx::Error, so it never reaches a consumer.
+struct StopDelivery {};
+
+}  // namespace
+
+struct Reader::Workers {
+  explicit Workers(int threads) : pool(threads) {}
+  ~Workers() { stop(); }
+
+  /// (Re)starts framing and inflating at compressed offset `coffset`.
+  void start(const InputFile& file, uint64_t coffset) {
+    cancel.store(false, std::memory_order_relaxed);
+    blocks = std::make_unique<exec::Channel<Block>>(kReadaheadBlocks);
+    driver = std::thread([this, &file, coffset] { drive(file, coffset); });
+  }
+
+  /// Cancels the pipeline, joins the driver and drops the readahead.
+  void stop() {
+    cancel.store(true, std::memory_order_relaxed);
+    if (blocks != nullptr) {
+      blocks->close();  // unblocks a sink stalled on readahead room
+    }
+    if (driver.joinable()) {
+      driver.join();
+    }
+    while (blocks != nullptr && blocks->pop().has_value()) {
+      readahead_metrics().depth.sub(1);
+    }
+  }
+
+  /// Driver-thread body: frames, inflates and commits blocks from
+  /// `coffset` into `blocks` until the stream ends, a bad block has been
+  /// delivered, or stop() cancels it; then closes the channel.
+  void drive(const InputFile& file, uint64_t coffset) {
+    struct RawBlock {
+      std::string bytes;
+      uint64_t coffset = 0;
+      std::exception_ptr error;  // framing failure at `coffset`
+    };
+    bool framing_failed = false;
+    exec::PipelineOptions opt;
+    opt.window = kReadaheadBlocks;
+    opt.cancel = &cancel;
+    try {
+      exec::ordered_pipeline<RawBlock, Block>(
+          pool,
+          // Framing scan: serial, cheap. A framing failure is the last
+          // item, at its position in the file.
+          [&](RawBlock& item) {
+            if (framing_failed) {
+              return false;
+            }
+            item.coffset = coffset;
+            try {
+              if (!frame_block(file, coffset, item.bytes)) {
+                return false;
+              }
+            } catch (...) {
+              item.error = std::current_exception();
+              framing_failed = true;
+              return true;
+            }
+            coffset += item.bytes.size();
+            return true;
+          },
+          // Parallel inflate, one long-lived codec stream per worker. A
+          // bad block carries its error in band, so it cannot fail the
+          // pipeline and discard the good blocks before it.
+          [](RawBlock&& item, uint64_t) {
+            thread_local Inflater inflater;
+            Block block;
+            block.coffset = item.coffset;
+            block.error = item.error;
+            if (block.error == nullptr) {
+              try {
+                inflater.decompress(item.bytes, block.payload, item.coffset);
+                block.csize = item.bytes.size();
+              } catch (...) {
+                block.error = std::current_exception();
+              }
+            }
+            return block;
+          },
+          // Ordered commit; the channel's capacity bounds the readahead.
+          [&](Block&& block, uint64_t) {
+            const bool bad = block.error != nullptr;
+            if (!blocks->push(std::move(block))) {
+              throw StopDelivery{};
+            }
+            readahead_metrics().depth.add(1);
+            if (bad) {
+              throw StopDelivery{};  // nothing past a bad block is read
+            }
+          },
+          opt);
+    } catch (const StopDelivery&) {
+    }
+    blocks->close();  // the consumer drains the rest, then sees the end
+  }
+
+  exec::Pool pool;
+  std::unique_ptr<exec::Channel<Block>> blocks;  // rebuilt on every start
+  std::atomic<bool> cancel{false};
+  std::thread driver;
+};
+
+Reader::Reader(const std::string& path, int threads) : file_(path) {
+  NGSX_CHECK_MSG(threads >= 1, "need at least one decode worker");
+  if (threads > 1) {
+    workers_ = std::make_unique<Workers>(threads);
+    workers_->start(file_, 0);
+  }
+}
+
+Reader::~Reader() = default;
+
+void Reader::park(uint64_t coffset) {
+  block_.payload.clear();
+  block_.coffset = coffset;
+  block_.csize = 0;
+  block_.error = nullptr;
+  have_block_ = false;
+  block_pos_ = 0;
+}
+
+bool Reader::next_block() {
+  if (error_ != nullptr) {
+    std::rethrow_exception(error_);  // sticky until the next seek()
+  }
+  const uint64_t next =
+      have_block_ ? block_.coffset + block_.csize : block_.coffset;
+  if (workers_ == nullptr) {
+    // Inline: frame and inflate on the caller's thread.
+    park(next);
+    try {
+      if (frame_block(file_, next, raw_)) {
+        inflater_.decompress(raw_, block_.payload, next);
+        block_.csize = raw_.size();
+      }
+    } catch (...) {
+      block_.error = std::current_exception();
+    }
+  } else if (std::optional<Block> block = workers_->blocks->pop()) {
+    readahead_metrics().depth.sub(1);
+    block_ = std::move(*block);
+  } else {
+    park(next);  // the channel ended cleanly
+  }
+  if (block_.error != nullptr) {
+    error_ = block_.error;
+    park(next);  // tell() reports the bad block's offset
+    std::rethrow_exception(error_);
+  }
+  if (block_.csize == 0) {
+    // End of stream: the cursor stays one past the last block.
+    park(next);
+    return false;
+  }
+  have_block_ = true;
+  block_pos_ = 0;
+  return true;
+}
+
+bool Reader::ensure_data() {
+  while (!have_block_ || block_pos_ >= block_.payload.size()) {
+    if (!next_block()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+size_t Reader::read(void* buf, size_t n) {
+  char* out = static_cast<char*>(buf);
+  size_t total = 0;
+  while (total < n && ensure_data()) {
+    const size_t take =
+        std::min(n - total, block_.payload.size() - block_pos_);
+    std::memcpy(out + total, block_.payload.data() + block_pos_, take);
+    block_pos_ += take;
+    total += take;
+  }
+  return total;
+}
+
+void Reader::read_exact(void* buf, size_t n) {
   size_t got = read(buf, n);
   if (got != n) {
     throw FormatError("truncated BGZF stream: wanted " + std::to_string(n) +
@@ -341,110 +574,41 @@ void ReaderBase::read_exact(void* buf, size_t n) {
   }
 }
 
-Reader::Reader(const std::string& path) : file_(path) {}
-
-bool Reader::load_block(uint64_t coffset) {
-  if (coffset >= file_.size()) {
-    // Park the cursor at the attempted offset: tell() then reports the
-    // end of the scanned stream, and a re-read stays at EOF instead of
-    // re-delivering the last cached block.
-    block_coffset_ = coffset;
-    block_csize_ = 0;
-    have_block_ = false;
-    return false;
-  }
-  char header[kHeaderSize];
-  size_t got = file_.pread(header, sizeof(header), coffset);
-  if (got < sizeof(header)) {
-    throw FormatError("truncated BGZF block header at offset " +
-                      std::to_string(coffset));
-  }
-  size_t total = peek_block_size(std::string_view(header, sizeof(header)));
-  std::string raw = file_.read_at(coffset, total);
-  if (raw.size() != total) {
-    throw FormatError("truncated BGZF block at offset " +
-                      std::to_string(coffset));
-  }
-  block_.clear();
-  inflater_.decompress(raw, block_, coffset);
-  block_coffset_ = coffset;
-  block_csize_ = total;
-  block_pos_ = 0;
-  have_block_ = true;
-  return true;
-}
-
-size_t Reader::read(void* buf, size_t n) {
-  char* out = static_cast<char*>(buf);
-  size_t total = 0;
-  while (total < n) {
-    if (!have_block_ || block_pos_ >= block_.size()) {
-      uint64_t next =
-          have_block_ ? block_coffset_ + block_csize_ : block_coffset_;
-      // Skip empty blocks (e.g. the EOF marker) but keep scanning: BGZF
-      // permits empty blocks mid-stream.
-      bool loaded = load_block(next);
-      while (loaded && block_.empty()) {
-        loaded = load_block(block_coffset_ + block_csize_);
-      }
-      if (!loaded) {
-        break;
-      }
-    }
-    size_t take = std::min(n - total, block_.size() - block_pos_);
-    std::memcpy(out + total, block_.data() + block_pos_, take);
-    block_pos_ += take;
-    total += take;
-  }
-  return total;
-}
-
 uint64_t Reader::tell() {
   if (!have_block_) {
-    return make_voffset(block_coffset_, 0);
+    return make_voffset(block_.coffset, 0);
   }
-  if (block_pos_ >= block_.size()) {
-    return make_voffset(block_coffset_ + block_csize_, 0);
+  if (block_pos_ >= block_.payload.size()) {
+    return make_voffset(block_.coffset + block_.csize, 0);
   }
-  return make_voffset(block_coffset_, static_cast<uint32_t>(block_pos_));
+  return make_voffset(block_.coffset, static_cast<uint32_t>(block_pos_));
 }
 
 void Reader::seek(uint64_t voffset) {
-  uint64_t coffset = voffset_coffset(voffset);
-  uint32_t uoffset = voffset_uoffset(voffset);
-  if (!have_block_ || block_coffset_ != coffset) {
-    if (!load_block(coffset)) {
+  const uint64_t coffset = voffset_coffset(voffset);
+  const uint32_t uoffset = voffset_uoffset(voffset);
+  if (!have_block_ || block_.coffset != coffset) {
+    error_ = nullptr;
+    park(coffset);
+    if (workers_ != nullptr) {
+      // Drop the readahead and rescan from the target block.
+      readahead_metrics().seek_restarts.add(1);
+      workers_->stop();
+      workers_->start(file_, coffset);
+    }
+    if (!next_block()) {
       if (uoffset == 0) {
-        // Seeking to EOF is legal.
-        block_coffset_ = coffset;
-        have_block_ = false;
-        return;
+        return;  // seeking to EOF is legal
       }
       throw FormatError("BGZF seek past end of file");
     }
   }
-  if (uoffset > block_.size()) {
+  if (uoffset > block_.payload.size()) {
     throw FormatError("BGZF seek offset beyond block payload");
   }
   block_pos_ = uoffset;
 }
 
-bool Reader::eof() {
-  if (have_block_ && block_pos_ < block_.size()) {
-    return false;
-  }
-  // Peek: try to advance to the next non-empty block without consuming.
-  uint64_t next = have_block_ ? block_coffset_ + block_csize_ : block_coffset_;
-  while (next < file_.size()) {
-    if (!load_block(next)) {
-      return true;
-    }
-    if (!block_.empty()) {
-      return false;
-    }
-    next = block_coffset_ + block_csize_;
-  }
-  return true;
-}
+bool Reader::eof() { return !ensure_data(); }
 
 }  // namespace ngsx::bgzf

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -88,8 +89,8 @@ class Deflater {
 };
 
 /// Reusable BGZF block decompressor: one raw-deflate codec recycled
-/// across blocks (the sequential and parallel readers both hold
-/// long-lived instances). Not thread-safe.
+/// across blocks (a Reader holds one, or one per worker thread). Not
+/// thread-safe.
 class Inflater {
  public:
   explicit Inflater(Backend backend = Backend::kAuto);
@@ -188,60 +189,78 @@ class Writer {
   bool closed_ = false;
 };
 
-/// The read-side BGZF contract shared by the sequential Reader and the
-/// ParallelReader (formats/bgzf_parallel.h): byte-stream read() plus
-/// virtual-offset tell()/seek(). Consumers (the BAM reader, converters)
-/// program against this so decode parallelism is a construction-time
-/// choice, not an API fork.
-class ReaderBase {
+/// Random-access BGZF reader: byte-stream read() plus virtual-offset
+/// tell()/seek(); BAM layers record framing on top. At one thread each
+/// block is framed and inflated inline on the caller's thread, with no
+/// pool and no extra thread. With `threads` > 1 a driver thread frames
+/// blocks ahead of the consumer, that many pool workers inflate them, and
+/// an exec::ordered_pipeline hands them back in file order through a
+/// channel of 32 blocks (the readahead; also the pipeline's window). A
+/// seek outside the current block cancels that pipeline and restarts it
+/// at the target block. The cursor code is the same at every width, so
+/// bytes, tell() values and error messages do not depend on `threads`.
+///
+/// Errors travel in file order: the consumer receives every byte of every
+/// block before the first bad one, then the FormatError for that block
+/// (with its compressed offset). The error stays sticky: every later
+/// read()/eof() rethrows it until the next seek(). Not thread-safe: one
+/// consumer thread.
+class Reader {
  public:
-  virtual ~ReaderBase() = default;
+  explicit Reader(const std::string& path, int threads = 1);
+  ~Reader();
+
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
 
   /// Reads up to `n` decompressed bytes; returns bytes read (short only at
   /// EOF).
-  virtual size_t read(void* buf, size_t n) = 0;
-
-  /// Current virtual offset (next byte to be read).
-  virtual uint64_t tell() = 0;
-
-  /// Repositions to a virtual offset previously obtained from tell() (or an
-  /// index).
-  virtual void seek(uint64_t voffset) = 0;
-
-  /// True when the underlying file is exhausted.
-  virtual bool eof() = 0;
-
-  /// Total compressed file size.
-  virtual uint64_t compressed_size() const = 0;
+  size_t read(void* buf, size_t n);
 
   /// Reads exactly `n` bytes or throws FormatError (truncated file).
   void read_exact(void* buf, size_t n);
-};
 
-/// Random-access BGZF reader with a one-block cache. Supports sequential
-/// read() and seek() to a virtual offset; BAM layers record framing on top.
-class Reader final : public ReaderBase {
- public:
-  explicit Reader(const std::string& path);
+  /// Current virtual offset (next byte to be read).
+  uint64_t tell();
 
-  size_t read(void* buf, size_t n) override;
-  uint64_t tell() override;
-  void seek(uint64_t voffset) override;
-  bool eof() override;
-  uint64_t compressed_size() const override { return file_.size(); }
+  /// Repositions to a virtual offset previously obtained from tell() (or an
+  /// index).
+  void seek(uint64_t voffset);
+
+  /// True when the underlying file is exhausted.
+  bool eof();
+
+  /// Total compressed file size.
+  uint64_t compressed_size() const { return file_.size(); }
 
  private:
-  /// Loads the block starting at compressed offset `coffset` into the cache.
-  /// Returns false at physical EOF.
-  bool load_block(uint64_t coffset);
+  /// One decoded block in file order.
+  struct Block {
+    std::string payload;
+    uint64_t coffset = 0;      // compressed offset of the block
+    size_t csize = 0;          // compressed size; 0 = end of stream
+    std::exception_ptr error;  // why the stream stops at `coffset`
+  };
+  struct Workers;  // pool + ordered inflate pipeline (threads > 1 only)
+
+  /// Replaces `block_` with the next block in file order. Returns false
+  /// at end of stream; throws (and keeps) the block's decode error.
+  bool next_block();
+  /// Advances until the current block has unread bytes, skipping empty
+  /// blocks (BGZF permits them mid-stream); false at end of stream.
+  bool ensure_data();
+  /// Moves the cursor to the start of the block at `coffset`, with nothing
+  /// loaded; the next next_block() call fetches that block.
+  void park(uint64_t coffset);
 
   InputFile file_;
-  Inflater inflater_;              // one codec stream reused across blocks
-  std::string block_;              // decompressed payload of cached block
-  uint64_t block_coffset_ = 0;     // compressed offset of cached block
-  size_t block_csize_ = 0;         // compressed size of cached block
-  size_t block_pos_ = 0;           // read cursor within block_
+  Inflater inflater_;  // inline path; workers keep one per thread
+  std::string raw_;    // compressed block scratch (inline path)
+  Block block_;        // current block
   bool have_block_ = false;
+  size_t block_pos_ = 0;      // read cursor within block_.payload
+  std::exception_ptr error_;  // sticky until the next seek()
+  std::unique_ptr<Workers> workers_;  // declared last: joined first
 };
 
 }  // namespace ngsx::bgzf

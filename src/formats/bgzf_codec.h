@@ -1,7 +1,7 @@
 // ngsx/formats/bgzf_codec.h
 //
 // Pluggable raw-deflate backend behind the BGZF block codec. Every BGZF
-// producer/consumer (sequential Reader/Writer, bgzf_parallel pipelines,
+// producer/consumer (Reader and Writer at any thread count,
 // preprocess_bam_parallel) compresses and inflates through a Codec, so a
 // faster deflate implementation lifts all of them at once.
 //

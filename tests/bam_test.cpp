@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "formats/bam.h"
 #include "simdata/readsim.h"
@@ -264,6 +267,68 @@ TEST(BamFile, TellSeekToRecord) {
   r.seek(voffsets[7]);
   ASSERT_TRUE(r.next(rec));
   EXPECT_EQ(rec.qname, "r7");
+}
+
+// A BAM of several BGZF blocks for the decode-width cases.
+std::string write_multiblock_bam(const TempDir& tmp) {
+  std::string path = tmp.file("t.bam");
+  BamFileWriter w(path, test_header());
+  for (int i = 0; i < 3000; ++i) {
+    AlignmentRecord rec = rich_record();
+    rec.qname = "r" + std::to_string(i);
+    rec.pos = i * 10;
+    w.write(rec);
+  }
+  w.close();
+  return path;
+}
+
+std::vector<AlignmentRecord> read_all(const std::string& path,
+                                      int decode_threads) {
+  BamFileReader r(path, decode_threads);
+  std::vector<AlignmentRecord> records;
+  AlignmentRecord rec;
+  while (r.next(rec)) {
+    records.push_back(rec);
+  }
+  return records;
+}
+
+TEST(BamFile, ResolveDecodeThreads) {
+  // decode_threads 0 resolves to the hardware width and 3 inflates on
+  // three workers; both read the records the one-thread reader reads.
+  // Negative widths are a usage error.
+  TempDir tmp;
+  std::string path = write_multiblock_bam(tmp);
+  EXPECT_THROW(BamFileReader reader(path, -1), UsageError);
+  const std::vector<AlignmentRecord> one = read_all(path, 1);
+  ASSERT_EQ(one.size(), 3000u);
+  EXPECT_EQ(read_all(path, 0), one);
+  EXPECT_EQ(read_all(path, 3), one);
+}
+
+TEST(BamFile, OpenReaderFactory) {
+  // The constructor opens the BGZF reader at the resolved width: inline at
+  // 1, threaded at 4. Both hand back the same records at the same virtual
+  // offsets; a negative width opens nothing.
+  TempDir tmp;
+  std::string path = write_multiblock_bam(tmp);
+  EXPECT_THROW(BamFileReader reader(path, -2), UsageError);
+  auto walk = [&](int decode_threads) {
+    BamFileReader r(path, decode_threads);
+    std::vector<std::pair<uint64_t, std::string>> seen;
+    AlignmentRecord rec;
+    uint64_t voffset = r.tell();
+    while (r.next(rec)) {
+      seen.emplace_back(voffset, rec.qname);
+      voffset = r.tell();
+    }
+    seen.emplace_back(voffset, "");  // the end
+    return seen;
+  };
+  const auto seq = walk(1);
+  ASSERT_EQ(seq.size(), 3001u);
+  EXPECT_EQ(walk(4), seq);
 }
 
 TEST(BamFile, BadMagicRejected) {

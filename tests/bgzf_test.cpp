@@ -1,15 +1,20 @@
 // Tests for the BGZF block-compression codec: wire format, virtual
-// offsets, streaming reader/writer (one and several deflate threads),
-// corruption detection.
+// offsets, streaming reader/writer (one and several inflate/deflate
+// threads), corruption detection.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "formats/bgzf.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
 
@@ -460,6 +465,456 @@ TEST(ThreadedWriter, DestructionWithoutCloseRollsBack) {
     EXPECT_TRUE(std::filesystem::is_empty(tmp.path()))
         << "threads " << threads;
   }
+}
+
+// ------------------------------------------------- multi-threaded reader
+//
+// Reader(path, threads) runs one cursor over inline decode (1 thread) or
+// an ordered inflate pipeline (> 1), so every width must match the
+// one-thread reader: same bytes, same tell() values, same FormatError
+// messages on corrupt input, across random read()/seek() interleavings.
+
+/// Writes `payload` as a BGZF file with irregular block boundaries driven
+/// by `seed` (flush_block at random points), returning the path.
+std::string write_bgzf(const TempDir& tmp, const std::string& name,
+                       const std::string& payload, uint64_t seed) {
+  std::string path = tmp.file(name);
+  Writer w(path);
+  Rng rng(seed);
+  size_t pos = 0;
+  while (pos < payload.size()) {
+    size_t take = std::min(payload.size() - pos, 1 + rng.below(80000));
+    w.write(std::string_view(payload).substr(pos, take));
+    pos += take;
+    if (rng.below(3) == 0) {
+      w.flush_block();  // irregular (including short) block boundaries
+    }
+  }
+  w.close();
+  return path;
+}
+
+std::string drain(Reader& r, size_t chunk = 8192) {
+  std::string out;
+  std::string buf(chunk, '\0');
+  size_t got;
+  while ((got = r.read(buf.data(), buf.size())) > 0) {
+    out.append(buf.data(), got);
+  }
+  return out;
+}
+
+/// (start, total size) of every block in a BGZF image, EOF marker included.
+std::vector<std::pair<size_t, size_t>> block_extents(const std::string& bytes) {
+  std::vector<std::pair<size_t, size_t>> blocks;
+  for (size_t pos = 0; pos + kBlockHeaderSize <= bytes.size();) {
+    size_t total = peek_block_size(std::string_view(bytes).substr(pos));
+    blocks.emplace_back(pos, total);
+    pos += total;
+  }
+  return blocks;
+}
+
+class DecodeThreads : public ::testing::TestWithParam<int> {};
+
+TEST_P(DecodeThreads, FullScanByteIdentical) {
+  TempDir tmp;
+  std::string payload = text_payload(3 << 20, 11);
+  std::string path = write_bgzf(tmp, "t.bgzf", payload, 12);
+
+  Reader par(path, GetParam());
+  Reader seq(path);
+  EXPECT_EQ(drain(par), payload);
+  EXPECT_EQ(drain(seq), payload);
+  EXPECT_TRUE(par.eof());
+  EXPECT_TRUE(seq.eof());
+  EXPECT_EQ(par.tell(), seq.tell());
+  EXPECT_EQ(par.compressed_size(), seq.compressed_size());
+}
+
+TEST_P(DecodeThreads, TellParityDuringScan) {
+  // tell() must return the same virtual offsets as the one-thread reader
+  // at every read boundary — indexes built against one must work with the
+  // other.
+  TempDir tmp;
+  std::string payload = text_payload(1 << 19, 21);
+  std::string path = write_bgzf(tmp, "t.bgzf", payload, 22);
+
+  Reader par(path, GetParam());
+  Reader seq(path);
+  Rng rng(23);
+  char pbuf[40000];
+  char sbuf[40000];
+  while (true) {
+    EXPECT_EQ(par.tell(), seq.tell());
+    size_t n = 1 + rng.below(sizeof(pbuf));
+    size_t pgot = par.read(pbuf, n);
+    size_t sgot = seq.read(sbuf, n);
+    ASSERT_EQ(pgot, sgot);
+    ASSERT_EQ(std::string_view(pbuf, pgot), std::string_view(sbuf, sgot));
+    if (pgot == 0) {
+      break;
+    }
+  }
+  EXPECT_EQ(par.tell(), seq.tell());
+}
+
+TEST_P(DecodeThreads, RandomReadSeekInterleavingMatchesSequential) {
+  // Property test: drive both readers with the same random op stream —
+  // reads of random sizes and seeks to voffsets previously returned by
+  // tell() — and require identical bytes and identical tell() throughout.
+  TempDir tmp;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    size_t payload_size = 50000 + Rng(seed).below(2 << 20);
+    std::string payload = text_payload(payload_size, 100 + seed);
+    std::string path = write_bgzf(tmp, "s" + std::to_string(seed) + ".bgzf",
+                                  payload, 200 + seed);
+
+    Reader par(path, GetParam());
+    Reader seq(path);
+    Rng rng(300 + seed);
+    std::vector<uint64_t> voffsets{0};
+    char pbuf[70000];
+    char sbuf[70000];
+    for (int op = 0; op < 60; ++op) {
+      if (rng.below(3) == 0 && !voffsets.empty()) {
+        uint64_t target = voffsets[rng.below(voffsets.size())];
+        par.seek(target);
+        seq.seek(target);
+      } else {
+        size_t n = 1 + rng.below(sizeof(pbuf));
+        size_t pgot = par.read(pbuf, n);
+        size_t sgot = seq.read(sbuf, n);
+        ASSERT_EQ(pgot, sgot) << "seed " << seed << " op " << op;
+        ASSERT_EQ(std::string_view(pbuf, pgot),
+                  std::string_view(sbuf, sgot))
+            << "seed " << seed << " op " << op;
+      }
+      ASSERT_EQ(par.tell(), seq.tell()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(par.eof(), seq.eof()) << "seed " << seed << " op " << op;
+      voffsets.push_back(par.tell());
+    }
+  }
+}
+
+TEST_P(DecodeThreads, SeekRoundTripRestoresStream) {
+  TempDir tmp;
+  std::string payload = text_payload(1 << 20, 31);
+  std::string path = write_bgzf(tmp, "t.bgzf", payload, 32);
+
+  Reader par(path, GetParam());
+  // Collect voffset -> expected remainder pairs with the one-thread reader.
+  Reader seq(path);
+  std::vector<std::pair<uint64_t, size_t>> marks;  // voffset, consumed bytes
+  char buf[30000];
+  size_t consumed = 0;
+  for (int i = 0; i < 20; ++i) {
+    marks.emplace_back(seq.tell(), consumed);
+    consumed += seq.read(buf, sizeof(buf));
+  }
+  // Visit marks in a scrambled order; each seek must land exactly there.
+  Rng rng(33);
+  for (int i = 0; i < 40; ++i) {
+    auto [voffset, offset] = marks[rng.below(marks.size())];
+    par.seek(voffset);
+    EXPECT_EQ(par.tell(), voffset);
+    size_t want = std::min<size_t>(sizeof(buf), payload.size() - offset);
+    std::string got(want, '\0');
+    par.read_exact(got.data(), got.size());
+    EXPECT_EQ(got, payload.substr(offset, want)) << "mark voffset " << voffset;
+  }
+}
+
+TEST_P(DecodeThreads, SeekToEofIsLegalAndSticky) {
+  TempDir tmp;
+  std::string payload = text_payload(200000, 41);
+  std::string path = write_bgzf(tmp, "t.bgzf", payload, 42);
+
+  Reader seq(path);
+  (void)drain(seq);
+  uint64_t end_voffset = seq.tell();
+
+  Reader par(path, GetParam());
+  par.seek(end_voffset);
+  char c;
+  EXPECT_EQ(par.read(&c, 1), 0u);
+  EXPECT_TRUE(par.eof());
+  EXPECT_EQ(par.tell(), seq.tell());
+  // And back to the start: the pipeline restarts cleanly after EOF.
+  par.seek(0);
+  EXPECT_FALSE(par.eof());
+  EXPECT_EQ(drain(par), payload);
+}
+
+/// The FormatError message `op` throws, or "" if it does not throw.
+template <typename Op>
+std::string error_of(Op op) {
+  try {
+    op();
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_P(DecodeThreads, SeekPastEndThrowsLikeSequential) {
+  TempDir tmp;
+  std::string path = write_bgzf(tmp, "t.bgzf", text_payload(100000, 51), 52);
+
+  Reader par(path, GetParam());
+  Reader seq(path);
+  uint64_t bogus = make_voffset(1ull << 40, 17);
+  std::string par_msg = error_of([&] { par.seek(bogus); });
+  EXPECT_FALSE(par_msg.empty());
+  EXPECT_EQ(par_msg, error_of([&] { seq.seek(bogus); }));
+}
+
+TEST_P(DecodeThreads, SeekBeyondBlockPayloadThrowsLikeSequential) {
+  TempDir tmp;
+  std::string path = tmp.file("t.bgzf");
+  {
+    Writer w(path);
+    w.write("short");  // one 5-byte block
+    w.close();
+  }
+  Reader par(path, GetParam());
+  Reader seq(path);
+  uint64_t bogus = make_voffset(0, 4000);  // uoffset > payload
+  std::string par_msg = error_of([&] { par.seek(bogus); });
+  EXPECT_FALSE(par_msg.empty());
+  EXPECT_EQ(par_msg, error_of([&] { seq.seek(bogus); }));
+}
+
+/// Reads `path` to exhaustion at one thread and at `threads`; returns
+/// (one-thread error message, `threads` error message), "" = no error.
+std::pair<std::string, std::string> drain_errors(const std::string& path,
+                                                 int threads) {
+  auto drain_error = [&](int width) {
+    return error_of([&] {
+      Reader r(path, width);
+      (void)drain(r);
+    });
+  };
+  return {drain_error(1), drain_error(threads)};
+}
+
+TEST_P(DecodeThreads, TruncatedBlockErrorParity) {
+  // Cut the file mid-block: both readers must deliver the same prefix and
+  // then throw the same FormatError (with the compressed offset), with no
+  // hang.
+  TempDir tmp;
+  std::string payload = text_payload(1 << 20, 61);
+  std::string path = write_bgzf(tmp, "t.bgzf", payload, 62);
+  std::string bytes = read_file(path);
+
+  // Mid-block truncation (not on a header boundary).
+  std::string cut_block = tmp.file("cut_block.bgzf");
+  write_file(cut_block, bytes.substr(0, bytes.size() * 2 / 3));
+  auto [seq_msg, par_msg] = drain_errors(cut_block, GetParam());
+  EXPECT_FALSE(seq_msg.empty());
+  EXPECT_EQ(par_msg, seq_msg);
+
+  // Mid-header truncation just past the last block start.
+  std::string cut_header = tmp.file("cut_header.bgzf");
+  write_file(cut_header,
+             bytes.substr(0, block_extents(bytes).back().first + 5));
+  auto [seq_msg2, par_msg2] = drain_errors(cut_header, GetParam());
+  EXPECT_FALSE(seq_msg2.empty());
+  EXPECT_EQ(par_msg2, seq_msg2);
+}
+
+TEST_P(DecodeThreads, CorruptBlockBodyErrorParity) {
+  // Flip bytes inside a block, header or body: the first bad block in
+  // file order decides the outcome at every width, so the message (with
+  // compressed offset) must match exactly. Body flips always fail;
+  // header flips may hit an ignored field (MTIME, OS) and read cleanly.
+  TempDir tmp;
+  std::string payload = text_payload(1 << 20, 71);
+  std::string path = write_bgzf(tmp, "t.bgzf", payload, 72);
+  std::string bytes = read_file(path);
+  const auto blocks = block_extents(bytes);
+  ASSERT_GT(blocks.size(), 2u);
+
+  Rng rng(73);
+  for (int trial = 0; trial < 8; ++trial) {
+    const bool body = trial % 2 == 0;
+    std::string corrupt = bytes;
+    auto [start, total] = blocks[rng.below(blocks.size() - 1)];  // skip EOF
+    size_t pos = body ? start + kBlockHeaderSize +
+                            rng.below(total - kBlockHeaderSize)
+                      : start + rng.below(kBlockHeaderSize);
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 + rng.below(255)));
+    std::string cpath = tmp.file("c" + std::to_string(trial) + ".bgzf");
+    write_file(cpath, corrupt);
+    auto [seq_msg, par_msg] = drain_errors(cpath, GetParam());
+    if (body) {
+      EXPECT_FALSE(seq_msg.empty()) << "trial " << trial << " flip at " << pos;
+    }
+    EXPECT_EQ(par_msg, seq_msg) << "trial " << trial << " flip at " << pos;
+  }
+}
+
+TEST_P(DecodeThreads, LaggingConsumerGetsEveryBlockBeforeTheError) {
+  // A consumer that stalls while the workers run ahead into a bad block
+  // must still receive every block before it, then the one-thread error.
+  TempDir tmp;
+  std::string path = tmp.file("t.bgzf");
+  {
+    Writer w(path);
+    w.write(text_payload(8 << 20, 75));
+    w.close();
+  }
+  std::string bytes = read_file(path);
+  const auto blocks = block_extents(bytes);
+  ASSERT_GT(blocks.size(), 61u);
+  auto [start, total] = blocks[60];
+  size_t pos = start + total / 2;  // inside the deflate body
+  bytes[pos] = static_cast<char>(bytes[pos] ^ 0x5a);
+  write_file(path, bytes);
+
+  struct Outcome {
+    size_t delivered = 0;
+    std::string message;
+    uint64_t tell = 0;
+  };
+  auto consume = [&](int threads) {
+    Outcome o;
+    Reader r(path, threads);
+    std::string buf(8192, '\0');
+    o.message = error_of([&] {
+      o.delivered += r.read(buf.data(), buf.size());
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      size_t got;
+      while ((got = r.read(buf.data(), buf.size())) > 0) {
+        o.delivered += got;
+      }
+    });
+    o.tell = r.tell();
+    return o;
+  };
+  const Outcome one = consume(1);
+  ASSERT_FALSE(one.message.empty());
+  EXPECT_GE(one.delivered, 59 * kMaxBlockInput);
+  const Outcome many = consume(GetParam());
+  EXPECT_EQ(many.delivered, one.delivered);
+  EXPECT_EQ(many.message, one.message);
+  EXPECT_EQ(many.tell, one.tell);
+  EXPECT_EQ(many.tell, make_voffset(start, 0));
+}
+
+TEST_P(DecodeThreads, ErrorIsStickyAcrossReads) {
+  TempDir tmp;
+  std::string path = write_bgzf(tmp, "t.bgzf", text_payload(1 << 19, 81),
+                                82);
+  std::string bytes = read_file(path);
+  write_file(path, bytes.substr(0, bytes.size() - 40));  // truncate
+
+  Reader par(path, GetParam());
+  EXPECT_THROW((void)drain(par), FormatError);
+  char c;
+  EXPECT_THROW((void)par.read(&c, 1), FormatError);  // still failed
+  EXPECT_THROW((void)par.eof(), FormatError);
+}
+
+TEST_P(DecodeThreads, MissingEofMarkerReadsLikeSequential) {
+  // The reader does not require the EOF marker at any width.
+  TempDir tmp;
+  std::string payload = text_payload(300000, 91);
+  std::string path = write_bgzf(tmp, "t.bgzf", payload, 92);
+  std::string bytes = read_file(path);
+  ASSERT_EQ(std::string_view(bytes).substr(bytes.size() - 28),
+            eof_marker());
+  write_file(path, bytes.substr(0, bytes.size() - 28));
+
+  Reader par(path, GetParam());
+  Reader seq(path);
+  EXPECT_EQ(drain(par), payload);
+  EXPECT_EQ(drain(seq), payload);
+  EXPECT_EQ(par.tell(), seq.tell());
+}
+
+TEST_P(DecodeThreads, DestructionMidStreamDoesNotHang) {
+  // Abandoning a reader with most of the file unread must cancel the
+  // pipeline promptly (a stalled committer would deadlock the dtor).
+  TempDir tmp;
+  std::string path = write_bgzf(tmp, "t.bgzf", text_payload(4 << 20, 95),
+                                96);
+  for (int i = 0; i < 8; ++i) {
+    Reader par(path, GetParam());
+    char buf[100];
+    (void)par.read(buf, sizeof(buf));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, DecodeThreads,
+                         ::testing::Values(1, 2, 4, 8));
+
+TEST(ThreadedReader, EmptyFileOnlyEofMarker) {
+  TempDir tmp;
+  std::string path = tmp.file("e.bgzf");
+  {
+    Writer w(path);
+    w.close();
+  }
+  Reader par(path, 2);
+  char c;
+  EXPECT_EQ(par.read(&c, 1), 0u);
+  EXPECT_TRUE(par.eof());
+  Reader seq(path);
+  EXPECT_EQ(seq.read(&c, 1), 0u);
+  EXPECT_EQ(par.tell(), seq.tell());
+}
+
+TEST(ThreadedReader, ZeroByteFile) {
+  TempDir tmp;
+  std::string path = tmp.file("z.bgzf");
+  write_file(path, "");
+  Reader par(path, 2);
+  char c;
+  EXPECT_EQ(par.read(&c, 1), 0u);
+  EXPECT_TRUE(par.eof());
+}
+
+TEST(ThreadedReader, ReadaheadBoundsMemory) {
+  // Far more blocks than the readahead and the pipeline window hold, and
+  // a consumer that stalls after its first byte: the workers must stop
+  // once the readahead channel (32 blocks) is full rather than decode the
+  // whole file.
+  struct MetricsScope {
+    MetricsScope() {
+      obs::reset_metrics();
+      obs::enable_metrics();
+    }
+    ~MetricsScope() { obs::enable_metrics(false); }
+  } armed;
+  TempDir tmp;
+  const int threads = 2;
+  const int64_t bound = 32;
+  std::string payload = text_payload(8 << 20, 99);  // ~130 blocks
+  std::string path = tmp.file("t.bgzf");
+  {
+    Writer w(path);
+    w.write(payload);
+    w.close();
+  }
+  auto depth = [] {
+    return obs::snapshot().gauge_value("bgzf.decode.readahead_depth");
+  };
+  {
+    Reader r(path, threads);
+    char c;
+    ASSERT_EQ(r.read(&c, 1), 1u);
+    int64_t max_depth = 0;
+    for (int i = 0; i < 200 && max_depth < bound; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      max_depth = std::max(max_depth, depth());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    max_depth = std::max(max_depth, depth());
+    EXPECT_EQ(max_depth, bound);
+    EXPECT_EQ(drain(r), payload.substr(1));
+  }
+  EXPECT_EQ(depth(), 0);
 }
 
 }  // namespace
