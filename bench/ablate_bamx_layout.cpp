@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   }
   {
     WallTimer t;
-    bamx::BamxReader reader(bamx_path);
+    bamx::RecordSource reader(bamx_path);
     std::vector<sam::AlignmentRecord> batch;
     for (uint64_t at = 0; at < reader.num_records();) {
       uint64_t take = std::min<uint64_t>(4096, reader.num_records() - at);
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
 
   // Random access: only BAMX supports it without an index walk.
   {
-    bamx::BamxReader reader(bamx_path);
+    bamx::RecordSource reader(bamx_path);
     sam::AlignmentRecord rec;
     WallTimer t;
     const uint64_t probes = 20000;

@@ -314,8 +314,8 @@ int main(int argc, char** argv) {
       }
       std::optional<core::Region> region;
       if (!region_text.empty()) {
-        auto probe = bamx::open_record_source(bamx);
-        region = core::parse_region(region_text, probe->header());
+        region = core::parse_region(region_text,
+                                    bamx::RecordSource(bamx).header());
       }
       if (region.has_value() && region_mode_text == "overlap") {
         // Overlap semantics need interval ends — the start-keyed BAIX v1

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "core/convert.h"
-#include "formats/bai.h"
 #include "simdata/readsim.h"
 #include "util/cli.h"
 #include "util/tempdir.h"
@@ -50,8 +49,8 @@ int main(int argc, char** argv) {
 
   // Region requests are now cheap. Convert the requested window to SAM
   // and to BED, in parallel, touching only matching records.
-  auto probe = bamx::open_record_source(bamx_path);
-  core::Region region = core::parse_region(region_text, probe->header());
+  core::Region region =
+      core::parse_region(region_text, bamx::RecordSource(bamx_path).header());
   std::printf("\nregion %s -> [%d, %d) on ref %d\n", region_text.c_str(),
               region.begin, region.end, region.ref_id);
 
@@ -88,28 +87,6 @@ int main(int argc, char** argv) {
   std::printf("\nfiltered overlap query (mapq>=30, reverse strand, no dups):"
               " %llu records\n",
               static_cast<unsigned long long>(filtered.records_in));
-
-  // The classical alternative: a standard BAI index over the BAM with a
-  // seek-and-filter region reader (the samtools-view path). Works without
-  // preprocessing but reads compressed variable-length records, so each
-  // request decodes everything in the candidate chunks.
-  {
-    WallTimer bai_timer;
-    auto bai_index = bai::BaiIndex::build(bam_path);
-    double build_s = bai_timer.seconds();
-    WallTimer query_timer;
-    bai::BamRegionReader reader(bam_path, bai_index, region.ref_id,
-                                region.begin, region.end);
-    sam::AlignmentRecord rec;
-    uint64_t overlapping = 0;
-    while (reader.next(rec)) {
-      ++overlapping;
-    }
-    std::printf("\nBAI route: index build %.3f s, region read %llu"
-                " overlapping records in %.3f s (sequential)\n",
-                build_s, static_cast<unsigned long long>(overlapping),
-                query_timer.seconds());
-  }
 
   // Contrast with the naive alternative: a full sequential conversion.
   WallTimer full_timer;

@@ -618,8 +618,7 @@ ConvertStats convert_bamx(const std::string& bamx_path,
 void build_baix2(const std::string& bamx_path,
                  const std::string& baix2_path) {
   obs::StageScope stage("convert.stage.index", "convert", "build_baix2");
-  auto reader = bamx::open_record_source(bamx_path);
-  baix2::Baix2Index::build(*reader).save(baix2_path);
+  baix2::Baix2Index::build(bamx::RecordSource(bamx_path)).save(baix2_path);
 }
 
 ConvertStats convert_bamx_filtered(const std::string& bamx_path,

@@ -15,8 +15,7 @@ constexpr uint64_t kFetchBatch = 4096;
 
 ConversionSession::ConversionSession(SessionOptions options)
     : options_(std::move(options)),
-      source_(bamx::open_record_source(options_.bamx_path)),
-      header_(source_->header()) {}
+      source_(options_.bamx_path) {}
 
 const bamx::BaixIndex& ConversionSession::baix() const {
   // call_once retries after an exception, so a failed load is reported to
@@ -74,7 +73,7 @@ void ConversionSession::fetch(
     std::vector<AlignmentRecord> records;
     for (uint64_t at = begin; at < end; at += kFetchBatch) {
       records.clear();
-      source_->read_range(at, std::min(end, at + kFetchBatch), records);
+      source_.read_range(at, std::min(end, at + kFetchBatch), records);
       for (AlignmentRecord& rec : records) {
         emit(rec);
       }
@@ -87,7 +86,7 @@ void ConversionSession::fetch(
     if (fetcher != nullptr) {
       fetcher->fetch(index, rec);
     } else {
-      source_->read(index, rec);
+      source_.read(index, rec);
     }
     emit(rec);
   }
@@ -99,12 +98,12 @@ ConversionSession::FormatResult ConversionSession::format_records(
     const RecordFetcher* fetcher) const {
   const size_t start = out.size();
   FormatResult result;
-  out += target_prologue(format, header_, include_header);
+  out += target_prologue(format, header(), include_header);
   fetch(
       &indices, 0, indices.size(),
       [&](AlignmentRecord& rec) {
         ++result.records_in;
-        if (format_target_record(format, rec, header_, out)) {
+        if (format_target_record(format, rec, header(), out)) {
           ++result.records_out;
         }
       },

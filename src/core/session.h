@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -61,10 +60,10 @@ class ConversionSession {
  public:
   explicit ConversionSession(SessionOptions options);
 
-  const sam::SamHeader& header() const { return header_; }
-  const bamx::RecordSource& source() const { return *source_; }
-  uint64_t num_records() const { return source_->num_records(); }
-  uint64_t stride() const { return source_->layout().stride(); }
+  const sam::SamHeader& header() const { return source_.header(); }
+  const bamx::RecordSource& source() const { return source_; }
+  uint64_t num_records() const { return source_.num_records(); }
+  uint64_t stride() const { return source_.layout().stride(); }
 
   bool has_baix() const { return !options_.baix_path.empty(); }
   bool has_baix2() const { return !options_.baix2_path.empty(); }
@@ -79,7 +78,7 @@ class ConversionSession {
 
   /// Parses "chr1:1000-2000" against the session's header.
   Region parse(std::string_view region_text) const {
-    return parse_region(region_text, header_);
+    return parse_region(region_text, header());
   }
 
   /// Record fetch list for a region query, in emission order: with a v2
@@ -118,8 +117,7 @@ class ConversionSession {
 
  private:
   SessionOptions options_;
-  std::unique_ptr<bamx::RecordSource> source_;
-  sam::SamHeader header_;
+  bamx::RecordSource source_;
   mutable std::once_flag baix_once_;
   mutable std::once_flag baix2_once_;
   mutable std::optional<bamx::BaixIndex> baix_;

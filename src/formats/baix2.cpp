@@ -113,7 +113,7 @@ Baix2Index Baix2Index::load(const std::string& path) {
     throw FormatError("unsupported BAIX2 version " + std::to_string(version));
   }
   uint64_t n = r.read<uint64_t>();
-  if (n * 24 > r.remaining()) {  // 24 bytes per entry on disk
+  if (n > r.remaining() / 24) {  // 24 bytes per entry on disk
     throw FormatError("BAIX2 entry count exceeds file size");
   }
   std::vector<Entry> entries;

@@ -41,56 +41,10 @@ size_t reg2bins(int32_t beg, int32_t end, std::vector<uint16_t>& bins) {
   return bins.size();
 }
 
-// ------------------------------------------------------------------- encode
+// ---------------------------------------------------------------------- aux
 
-void encode_record(const AlignmentRecord& rec, std::string& out) {
-  size_t block_size_pos = out.size();
-  binio::put_le<int32_t>(out, 0);  // patched below
-
-  size_t body_begin = out.size();
-  size_t l_read_name = rec.qname.size() + 1;
-  if (l_read_name > 255) {
-    throw FormatError("read name too long for BAM: '" + rec.qname + "'");
-  }
-  int32_t end = rec.pos >= 0 ? rec.end_pos() : 0;
-  uint32_t bin =
-      rec.pos >= 0 ? static_cast<uint32_t>(reg2bin(rec.pos, end)) : 4680;
-  binio::put_le<int32_t>(out, rec.ref_id);
-  binio::put_le<int32_t>(out, rec.pos);
-  binio::put_le<uint32_t>(
-      out, (bin << 16) | (static_cast<uint32_t>(rec.mapq) << 8) |
-               static_cast<uint32_t>(l_read_name));
-  binio::put_le<uint32_t>(
-      out, (static_cast<uint32_t>(rec.flag) << 16) |
-               static_cast<uint32_t>(rec.cigar.size()));
-  binio::put_le<int32_t>(out, static_cast<int32_t>(rec.seq.size()));
-  binio::put_le<int32_t>(out, rec.mate_ref_id);
-  binio::put_le<int32_t>(out, rec.mate_pos);
-  binio::put_le<int32_t>(out, rec.tlen);
-
-  out += rec.qname;
-  out += '\0';
-
-  for (const CigarOp& op : rec.cigar) {
-    binio::put_le<uint32_t>(out, (op.len << 4) | sam::cigar_op_code(op.op));
-  }
-
-  // 4-bit packed sequence.
-  seqcodec::pack_seq(rec.seq, out);
-
-  // Qualities: raw Phred (ASCII - 33); 0xFF fill when absent.
-  if (rec.qual.empty()) {
-    out.append(rec.seq.size(), static_cast<char>(0xFF));
-  } else {
-    NGSX_CHECK_MSG(rec.qual.size() == rec.seq.size(),
-                   "QUAL/SEQ length mismatch in encode");
-    size_t base = out.size();
-    out.resize(base + rec.qual.size());
-    seqcodec::ascii_to_quals(rec.qual, out.data() + base);
-  }
-
-  // Aux fields.
-  for (const AuxField& aux : rec.tags) {
+void encode_aux(const std::vector<AuxField>& tags, std::string& out) {
+  for (const AuxField& aux : tags) {
     out += aux.tag[0];
     out += aux.tag[1];
     switch (aux.type) {
@@ -161,56 +115,11 @@ void encode_record(const AlignmentRecord& rec, std::string& out) {
                           "' in encode");
     }
   }
-
-  binio::poke_le<int32_t>(out, block_size_pos,
-                          static_cast<int32_t>(out.size() - body_begin));
 }
 
-// ------------------------------------------------------------------- decode
-
-void decode_record(std::string_view body, AlignmentRecord& rec) {
-  ByteReader r(body);
-  rec.ref_id = r.read<int32_t>();
-  rec.pos = r.read<int32_t>();
-  uint32_t bin_mq_nl = r.read<uint32_t>();
-  uint32_t flag_nc = r.read<uint32_t>();
-  int32_t l_seq = r.read<int32_t>();
-  rec.mate_ref_id = r.read<int32_t>();
-  rec.mate_pos = r.read<int32_t>();
-  rec.tlen = r.read<int32_t>();
-
-  rec.mapq = static_cast<uint8_t>((bin_mq_nl >> 8) & 0xFF);
-  uint32_t l_read_name = bin_mq_nl & 0xFF;
-  rec.flag = static_cast<uint16_t>(flag_nc >> 16);
-  uint32_t n_cigar = flag_nc & 0xFFFF;
-
-  std::string_view name = r.read_bytes(l_read_name);
-  if (name.empty() || name.back() != '\0') {
-    throw FormatError("BAM read name not NUL-terminated");
-  }
-  rec.qname.assign(name.data(), name.size() - 1);
-
-  rec.cigar.clear();
-  rec.cigar.reserve(n_cigar);
-  for (uint32_t i = 0; i < n_cigar; ++i) {
-    uint32_t packed = r.read<uint32_t>();
-    rec.cigar.push_back(
-        CigarOp{sam::cigar_op_char(packed & 0xF), packed >> 4});
-  }
-
-  std::string_view packed_seq =
-      r.read_bytes(static_cast<size_t>((l_seq + 1) / 2));
-  seqcodec::unpack_seq(packed_seq.data(), static_cast<size_t>(l_seq),
-                       rec.seq);
-
-  std::string_view quals = r.read_bytes(static_cast<size_t>(l_seq));
-  rec.qual.clear();
-  if (l_seq > 0 && static_cast<uint8_t>(quals[0]) != 0xFF) {
-    seqcodec::quals_to_ascii(quals.data(), quals.size(), rec.qual);
-  }
-
-  // Aux fields to end of body.
-  rec.tags.clear();
+void decode_aux(std::string_view bytes, std::vector<AuxField>& tags) {
+  tags.clear();
+  ByteReader r(bytes);
   while (!r.eof()) {
     AuxField aux;
     std::string_view tag = r.read_bytes(2);
@@ -278,8 +187,109 @@ void decode_record(std::string_view body, AlignmentRecord& rec) {
         throw FormatError(std::string("unknown aux type byte '") + type +
                           "' in decode");
     }
-    rec.tags.push_back(std::move(aux));
+    tags.push_back(std::move(aux));
   }
+}
+
+// ------------------------------------------------------------------- encode
+
+void encode_record(const AlignmentRecord& rec, std::string& out) {
+  size_t block_size_pos = out.size();
+  binio::put_le<int32_t>(out, 0);  // patched below
+
+  size_t body_begin = out.size();
+  size_t l_read_name = rec.qname.size() + 1;
+  if (l_read_name > 255) {
+    throw FormatError("read name too long for BAM: '" + rec.qname + "'");
+  }
+  int32_t end = rec.pos >= 0 ? rec.end_pos() : 0;
+  uint32_t bin =
+      rec.pos >= 0 ? static_cast<uint32_t>(reg2bin(rec.pos, end)) : 4680;
+  binio::put_le<int32_t>(out, rec.ref_id);
+  binio::put_le<int32_t>(out, rec.pos);
+  binio::put_le<uint32_t>(
+      out, (bin << 16) | (static_cast<uint32_t>(rec.mapq) << 8) |
+               static_cast<uint32_t>(l_read_name));
+  binio::put_le<uint32_t>(
+      out, (static_cast<uint32_t>(rec.flag) << 16) |
+               static_cast<uint32_t>(rec.cigar.size()));
+  binio::put_le<int32_t>(out, static_cast<int32_t>(rec.seq.size()));
+  binio::put_le<int32_t>(out, rec.mate_ref_id);
+  binio::put_le<int32_t>(out, rec.mate_pos);
+  binio::put_le<int32_t>(out, rec.tlen);
+
+  out += rec.qname;
+  out += '\0';
+
+  for (const CigarOp& op : rec.cigar) {
+    binio::put_le<uint32_t>(out, (op.len << 4) | sam::cigar_op_code(op.op));
+  }
+
+  // 4-bit packed sequence.
+  seqcodec::pack_seq(rec.seq, out);
+
+  // Qualities: raw Phred (ASCII - 33); 0xFF fill when absent.
+  if (rec.qual.empty()) {
+    out.append(rec.seq.size(), static_cast<char>(0xFF));
+  } else {
+    NGSX_CHECK_MSG(rec.qual.size() == rec.seq.size(),
+                   "QUAL/SEQ length mismatch in encode");
+    size_t base = out.size();
+    out.resize(base + rec.qual.size());
+    seqcodec::ascii_to_quals(rec.qual, out.data() + base);
+  }
+
+  encode_aux(rec.tags, out);
+
+  binio::poke_le<int32_t>(out, block_size_pos,
+                          static_cast<int32_t>(out.size() - body_begin));
+}
+
+// ------------------------------------------------------------------- decode
+
+void decode_record(std::string_view body, AlignmentRecord& rec) {
+  ByteReader r(body);
+  rec.ref_id = r.read<int32_t>();
+  rec.pos = r.read<int32_t>();
+  uint32_t bin_mq_nl = r.read<uint32_t>();
+  uint32_t flag_nc = r.read<uint32_t>();
+  int32_t l_seq = r.read<int32_t>();
+  rec.mate_ref_id = r.read<int32_t>();
+  rec.mate_pos = r.read<int32_t>();
+  rec.tlen = r.read<int32_t>();
+
+  rec.mapq = static_cast<uint8_t>((bin_mq_nl >> 8) & 0xFF);
+  uint32_t l_read_name = bin_mq_nl & 0xFF;
+  rec.flag = static_cast<uint16_t>(flag_nc >> 16);
+  uint32_t n_cigar = flag_nc & 0xFFFF;
+
+  std::string_view name = r.read_bytes(l_read_name);
+  if (name.empty() || name.back() != '\0') {
+    throw FormatError("BAM read name not NUL-terminated");
+  }
+  rec.qname.assign(name.data(), name.size() - 1);
+
+  rec.cigar.clear();
+  rec.cigar.reserve(n_cigar);
+  for (uint32_t i = 0; i < n_cigar; ++i) {
+    uint32_t packed = r.read<uint32_t>();
+    rec.cigar.push_back(
+        CigarOp{sam::cigar_op_char(packed & 0xF), packed >> 4});
+  }
+
+  std::string_view packed_seq =
+      r.read_bytes(static_cast<size_t>((l_seq + 1) / 2));
+  seqcodec::unpack_seq(packed_seq.data(), static_cast<size_t>(l_seq),
+                       rec.seq);
+
+  std::string_view quals = r.read_bytes(static_cast<size_t>(l_seq));
+  rec.qual.clear();
+  if (l_seq > 0 && static_cast<uint8_t>(quals[0]) != 0xFF) {
+    seqcodec::quals_to_ascii(quals.data(), quals.size(), rec.qual);
+  }
+
+  // Aux fields to end of body.
+  decode_aux(body.substr(r.pos()), rec.tags);
 }
 
 // ------------------------------------------------------------------- header

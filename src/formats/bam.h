@@ -27,6 +27,14 @@ int32_t reg2bin(int32_t beg, int32_t end);
 /// Returns the number of bins.
 size_t reg2bins(int32_t beg, int32_t end, std::vector<uint16_t>& bins);
 
+/// Appends the BAM wire encoding of `tags` (SAM spec §4.2.4) to `out`.
+/// Every integer value is written as type 'i' (int32). BAMX stores its aux
+/// section in this same encoding.
+void encode_aux(const std::vector<sam::AuxField>& tags, std::string& out);
+
+/// Replaces `tags` with the aux fields BAM-encoded in `bytes` (all of it).
+void decode_aux(std::string_view bytes, std::vector<sam::AuxField>& tags);
+
 /// Encodes `rec` as a BAM record (including the leading block_size field)
 /// appended to `out`.
 void encode_record(const sam::AlignmentRecord& rec, std::string& out);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "formats/bam.h"
 #include "formats/seqcodec.h"
@@ -36,87 +37,9 @@ constexpr std::string_view kBaixMagic{"BAIX\1", 5};
 constexpr std::string_view kManifestMagic{"BAMXM\1", 6};
 constexpr uint16_t kVersion = 1;
 
-// Encodes just the aux section of a record in BAM aux encoding by reusing
-// the BAM encoder on a stub record and slicing. Cheaper: encode directly.
-void encode_aux_fields(const std::vector<AuxField>& tags, std::string& out) {
-  // Reuse the BAM encoder's aux logic via a minimal record would drag in
-  // the whole record; duplicate the small aux branch here instead, keeping
-  // byte-compatibility with BAM aux encoding (bam::decode_record's parser
-  // is reused for decoding).
-  for (const AuxField& aux : tags) {
-    out += aux.tag[0];
-    out += aux.tag[1];
-    switch (aux.type) {
-      case 'A':
-        out += 'A';
-        out += static_cast<char>(aux.int_value);
-        break;
-      case 'i':
-        out += 'i';
-        binio::put_le<int32_t>(out, static_cast<int32_t>(aux.int_value));
-        break;
-      case 'f':
-        out += 'f';
-        binio::put_le<float>(out, static_cast<float>(aux.float_value));
-        break;
-      case 'Z':
-      case 'H':
-        out += aux.type;
-        out += aux.str_value;
-        out += '\0';
-        break;
-      case 'B': {
-        out += 'B';
-        out += aux.subtype;
-        size_t n = aux.subtype == 'f' ? aux.float_array.size()
-                                      : aux.int_array.size();
-        binio::put_le<int32_t>(out, static_cast<int32_t>(n));
-        for (size_t i = 0; i < n; ++i) {
-          switch (aux.subtype) {
-            case 'c':
-              binio::put_le<int8_t>(out,
-                                    static_cast<int8_t>(aux.int_array[i]));
-              break;
-            case 'C':
-              binio::put_le<uint8_t>(out,
-                                     static_cast<uint8_t>(aux.int_array[i]));
-              break;
-            case 's':
-              binio::put_le<int16_t>(out,
-                                     static_cast<int16_t>(aux.int_array[i]));
-              break;
-            case 'S':
-              binio::put_le<uint16_t>(
-                  out, static_cast<uint16_t>(aux.int_array[i]));
-              break;
-            case 'i':
-              binio::put_le<int32_t>(out,
-                                     static_cast<int32_t>(aux.int_array[i]));
-              break;
-            case 'I':
-              binio::put_le<uint32_t>(
-                  out, static_cast<uint32_t>(aux.int_array[i]));
-              break;
-            case 'f':
-              binio::put_le<float>(out,
-                                   static_cast<float>(aux.float_array[i]));
-              break;
-            default:
-              throw FormatError("unknown B subtype in BAMX aux encode");
-          }
-        }
-        break;
-      }
-      default:
-        throw FormatError(std::string("unknown aux type '") + aux.type +
-                          "' in BAMX aux encode");
-    }
-  }
-}
-
 size_t measure_aux_bytes(const std::vector<AuxField>& tags) {
   std::string tmp;
-  encode_aux_fields(tags, tmp);
+  bam::encode_aux(tags, tmp);
   return tmp.size();
 }
 
@@ -187,7 +110,7 @@ void encode_record(const AlignmentRecord& rec, const BamxLayout& layout,
   }
 
   std::string aux;
-  encode_aux_fields(rec.tags, aux);
+  bam::encode_aux(rec.tags, aux);
   put(32, static_cast<uint32_t>(aux.size()));
   std::memcpy(p + layout.aux_offset(), aux.data(), aux.size());
 }
@@ -269,74 +192,9 @@ void decode_record(std::string_view body, const BamxLayout& layout,
     seqcodec::quals_to_ascii(qual, seq_len, rec.qual);
   }
 
-  // Aux bytes use BAM aux encoding; reuse the BAM decoder by framing a
-  // minimal record? The aux parser is embedded in bam::decode_record, so we
-  // parse here with the same rules via a small local loop.
-  rec.tags.clear();
-  std::string_view aux_bytes(p + layout.aux_offset(), aux_len);
-  ByteReader r(aux_bytes);
-  while (!r.eof()) {
-    AuxField aux;
-    std::string_view tag = r.read_bytes(2);
-    aux.tag[0] = tag[0];
-    aux.tag[1] = tag[1];
-    char type = static_cast<char>(r.read<uint8_t>());
-    switch (type) {
-      case 'A':
-        aux.type = 'A';
-        aux.int_value = static_cast<char>(r.read<uint8_t>());
-        break;
-      case 'c': aux.type = 'i'; aux.int_value = r.read<int8_t>(); break;
-      case 'C': aux.type = 'i'; aux.int_value = r.read<uint8_t>(); break;
-      case 's': aux.type = 'i'; aux.int_value = r.read<int16_t>(); break;
-      case 'S': aux.type = 'i'; aux.int_value = r.read<uint16_t>(); break;
-      case 'i': aux.type = 'i'; aux.int_value = r.read<int32_t>(); break;
-      case 'I': aux.type = 'i'; aux.int_value = r.read<uint32_t>(); break;
-      case 'f':
-        aux.type = 'f';
-        aux.float_value = r.read<float>();
-        break;
-      case 'Z':
-      case 'H':
-        aux.type = type;
-        aux.str_value = std::string(r.read_cstr());
-        break;
-      case 'B': {
-        aux.type = 'B';
-        aux.subtype = static_cast<char>(r.read<uint8_t>());
-        int32_t n = r.read<int32_t>();
-        for (int32_t i = 0; i < n; ++i) {
-          switch (aux.subtype) {
-            case 'c': aux.int_array.push_back(r.read<int8_t>()); break;
-            case 'C': aux.int_array.push_back(r.read<uint8_t>()); break;
-            case 's': aux.int_array.push_back(r.read<int16_t>()); break;
-            case 'S': aux.int_array.push_back(r.read<uint16_t>()); break;
-            case 'i': aux.int_array.push_back(r.read<int32_t>()); break;
-            case 'I': aux.int_array.push_back(r.read<uint32_t>()); break;
-            case 'f': aux.float_array.push_back(r.read<float>()); break;
-            default:
-              throw FormatError("unknown B subtype in BAMX aux decode");
-          }
-        }
-        break;
-      }
-      default:
-        throw FormatError(std::string("unknown aux type byte in BAMX: '") +
-                          type + "'");
-    }
-    rec.tags.push_back(std::move(aux));
-  }
-}
-
-std::pair<int32_t, int32_t> peek_ref_pos(std::string_view body) {
-  int32_t ref;
-  int32_t pos;
-  if (body.size() < 8) {
-    throw FormatError("BAMX record too short for peek");
-  }
-  std::memcpy(&ref, body.data(), 4);
-  std::memcpy(&pos, body.data() + 4, 4);
-  return {ref, pos};
+  // The aux section uses BAM aux encoding.
+  bam::decode_aux(std::string_view(p + layout.aux_offset(), aux_len),
+                  rec.tags);
 }
 
 // ---------------------------------------------------------------- BamxWriter
@@ -395,108 +253,6 @@ void BamxWriter::close() {
     out_->discard();
     throw;
   }
-}
-
-// ---------------------------------------------------------------- BamxReader
-
-BamxReader::BamxReader(const std::string& path) : file_(path) {
-  std::string head = file_.read_at(0, 5 + 2 + 16 + 8 + 8 + 8);
-  ByteReader r(head);
-  if (r.read_bytes(5) != kBamxMagic) {
-    throw FormatError("bad BAMX magic in '" + path + "'");
-  }
-  uint16_t version = r.read<uint16_t>();
-  if (version != kVersion) {
-    throw FormatError("unsupported BAMX version " + std::to_string(version));
-  }
-  layout_.max_qname = r.read<uint32_t>();
-  layout_.max_cigar = r.read<uint32_t>();
-  layout_.max_seq = r.read<uint32_t>();
-  layout_.max_aux = r.read<uint32_t>();
-  uint64_t stride = r.read<uint64_t>();
-  if (stride != layout_.stride()) {
-    throw FormatError("BAMX stride mismatch: header says " +
-                      std::to_string(stride) + ", layout derives " +
-                      std::to_string(layout_.stride()));
-  }
-  n_records_ = r.read<uint64_t>();
-  uint64_t blob_size = r.read<uint64_t>();
-  data_offset_ = head.size() + blob_size;
-
-  std::string blob = file_.read_at(head.size(), blob_size);
-  // Parse the embedded BAM-style header blob.
-  ByteReader hr(blob);
-  if (hr.read_bytes(4) != std::string_view("BAM\1", 4)) {
-    throw FormatError("bad embedded header magic in BAMX '" + path + "'");
-  }
-  int32_t l_text = hr.read<int32_t>();
-  std::string text(hr.read_bytes(static_cast<size_t>(l_text)));
-  int32_t n_ref = hr.read<int32_t>();
-  std::vector<sam::Reference> refs;
-  for (int32_t i = 0; i < n_ref; ++i) {
-    int32_t l_name = hr.read<int32_t>();
-    std::string_view name = hr.read_bytes(static_cast<size_t>(l_name));
-    int32_t l_ref = hr.read<int32_t>();
-    refs.push_back(
-        sam::Reference{std::string(name.substr(0, name.size() - 1)), l_ref});
-  }
-  SamHeader from_text = SamHeader::from_text(text);
-  header_ = from_text.references().size() == refs.size()
-                ? std::move(from_text)
-                : SamHeader::from_references(std::move(refs));
-
-  uint64_t expected = data_offset_ + n_records_ * layout_.stride();
-  if (file_.size() < expected) {
-    throw FormatError("BAMX file truncated: expected at least " +
-                      std::to_string(expected) + " bytes");
-  }
-}
-
-void BamxReader::read(uint64_t i, AlignmentRecord& rec) const {
-  NGSX_CHECK_MSG(i < n_records_, "BAMX record index out of range");
-  std::string body =
-      file_.read_at(data_offset_ + i * layout_.stride(), layout_.stride());
-  decode_record(body, layout_, rec);
-}
-
-std::pair<int32_t, int32_t> BamxReader::read_ref_pos(uint64_t i) const {
-  NGSX_CHECK_MSG(i < n_records_, "BAMX record index out of range");
-  std::string body = file_.read_at(data_offset_ + i * layout_.stride(), 8);
-  return peek_ref_pos(body);
-}
-
-void BamxReader::read_range(uint64_t begin, uint64_t end,
-                            std::vector<AlignmentRecord>& out) const {
-  NGSX_CHECK_MSG(begin <= end && end <= n_records_,
-                 "BAMX record range out of bounds");
-  if (begin == end) {
-    return;
-  }
-  // One bulk positioned read, then slice per record.
-  uint64_t stride = layout_.stride();
-  std::string bytes =
-      file_.read_at(data_offset_ + begin * stride, (end - begin) * stride);
-  NGSX_CHECK(bytes.size() == (end - begin) * stride);
-  size_t base = out.size();
-  out.resize(base + (end - begin));
-  for (uint64_t i = 0; i < end - begin; ++i) {
-    decode_record(std::string_view(bytes).substr(i * stride, stride), layout_,
-                  out[base + i]);
-  }
-}
-
-void BamxReader::read_raw_range(uint64_t begin, uint64_t end,
-                                std::string& out) const {
-  NGSX_CHECK_MSG(begin <= end && end <= n_records_,
-                 "BAMX record range out of bounds");
-  if (begin == end) {
-    return;
-  }
-  uint64_t stride = layout_.stride();
-  std::string bytes =
-      file_.read_at(data_offset_ + begin * stride, (end - begin) * stride);
-  NGSX_CHECK(bytes.size() == (end - begin) * stride);
-  out += bytes;
 }
 
 // -------------------------------------------------------------- BamxManifest
@@ -569,7 +325,7 @@ BamxManifest BamxManifest::load(const std::string& path) {
   return m;
 }
 
-// --------------------------------------------------------- ShardedBamxReader
+// -------------------------------------------------------------- RecordSource
 
 namespace {
 
@@ -579,98 +335,85 @@ std::string parent_dir(const std::string& path) {
                                     : path.substr(0, slash);
 }
 
-}  // namespace
+// Fixed BAMX file header: magic, version, four capacities, stride,
+// n_records, blob_size.
+constexpr uint64_t kBamxHeadBytes = 5 + 2 + 16 + 8 + 8 + 8;
 
-ShardedBamxReader::ShardedBamxReader(const std::string& manifest_path)
-    : manifest_(BamxManifest::load(manifest_path)) {
-  const std::string dir = parent_dir(manifest_path);
-  shards_.reserve(manifest_.shards.size());
-  bases_.reserve(manifest_.shards.size() + 1);
-  for (const ManifestShard& s : manifest_.shards) {
-    shards_.emplace_back(dir + "/" + s.path);
-    const BamxReader& shard = shards_.back();
-    if (shard.layout() != manifest_.layout) {
-      throw FormatError("shard '" + s.path +
-                        "' layout disagrees with its manifest");
-    }
-    if (shard.num_records() != s.n_records) {
-      throw FormatError("shard '" + s.path + "' holds " +
-                        std::to_string(shard.num_records()) +
-                        " records, manifest says " +
-                        std::to_string(s.n_records));
-    }
-    bases_.push_back(s.record_base);
+/// What one BAMX file's header says, bounds-checked against the file size.
+struct ShardHead {
+  BamxLayout layout;
+  uint64_t n_records = 0;
+  uint64_t data_offset = 0;
+  SamHeader header;
+};
+
+ShardHead read_shard_head(const InputFile& file) {
+  const std::string& path = file.path();
+  std::string head = file.read_at(0, kBamxHeadBytes);
+  ByteReader r(head);
+  if (r.read_bytes(5) != kBamxMagic) {
+    throw FormatError("bad BAMX magic in '" + path + "'");
   }
-  bases_.push_back(manifest_.n_records);
-}
-
-const SamHeader& ShardedBamxReader::header() const {
-  return shards_.front().header();
-}
-
-size_t ShardedBamxReader::shard_of(uint64_t i) const {
-  NGSX_CHECK_MSG(i < manifest_.n_records, "BAMX record index out of range");
-  // bases_ is ascending with a sentinel; find the last base <= i. Empty
-  // shards (possible when records < shards) contribute repeated bases, so
-  // step past them to a shard that actually holds record i.
-  size_t k = static_cast<size_t>(
-      std::upper_bound(bases_.begin(), bases_.end() - 1, i) - bases_.begin());
-  return k - 1;
-}
-
-void ShardedBamxReader::read(uint64_t i, AlignmentRecord& rec) const {
-  size_t k = shard_of(i);
-  shards_[k].read(i - bases_[k], rec);
-}
-
-std::pair<int32_t, int32_t> ShardedBamxReader::read_ref_pos(uint64_t i) const {
-  size_t k = shard_of(i);
-  return shards_[k].read_ref_pos(i - bases_[k]);
-}
-
-void ShardedBamxReader::read_range(uint64_t begin, uint64_t end,
-                                   std::vector<AlignmentRecord>& out) const {
-  NGSX_CHECK_MSG(begin <= end && end <= manifest_.n_records,
-                 "BAMX record range out of bounds");
-  // One bulk read per shard the range crosses.
-  for (uint64_t at = begin; at < end;) {
-    size_t k = shard_of(at);
-    uint64_t take = std::min<uint64_t>(end, bases_[k + 1]) - at;
-    shards_[k].read_range(at - bases_[k], at - bases_[k] + take, out);
-    at += take;
+  uint16_t version = r.read<uint16_t>();
+  if (version != kVersion) {
+    throw FormatError("unsupported BAMX version " + std::to_string(version));
   }
+  ShardHead h;
+  h.layout.max_qname = r.read<uint32_t>();
+  h.layout.max_cigar = r.read<uint32_t>();
+  h.layout.max_seq = r.read<uint32_t>();
+  h.layout.max_aux = r.read<uint32_t>();
+  uint64_t stride = r.read<uint64_t>();
+  if (stride != h.layout.stride()) {
+    throw FormatError("BAMX stride mismatch: header says " +
+                      std::to_string(stride) + ", layout derives " +
+                      std::to_string(h.layout.stride()));
+  }
+  h.n_records = r.read<uint64_t>();
+  uint64_t blob_size = r.read<uint64_t>();
+  // Bound both header-claimed sizes by the file before allocating for
+  // either; the division form cannot overflow (stride >= 40).
+  if (blob_size > file.size() - kBamxHeadBytes) {
+    throw FormatError("BAMX header blob of " + std::to_string(blob_size) +
+                      " bytes exceeds the file size in '" + path + "'");
+  }
+  h.data_offset = kBamxHeadBytes + blob_size;
+  if (h.n_records > (file.size() - h.data_offset) / stride) {
+    throw FormatError("BAMX file truncated: " + std::to_string(h.n_records) +
+                      " records of " + std::to_string(stride) +
+                      " bytes do not fit in '" + path + "'");
+  }
+
+  std::string blob = file.read_at(kBamxHeadBytes, blob_size);
+  // Parse the embedded BAM-style header blob.
+  ByteReader hr(blob);
+  if (hr.read_bytes(4) != std::string_view("BAM\1", 4)) {
+    throw FormatError("bad embedded header magic in BAMX '" + path + "'");
+  }
+  int32_t l_text = hr.read<int32_t>();
+  std::string text(hr.read_bytes(static_cast<size_t>(l_text)));
+  int32_t n_ref = hr.read<int32_t>();
+  std::vector<sam::Reference> refs;
+  for (int32_t i = 0; i < n_ref; ++i) {
+    int32_t l_name = hr.read<int32_t>();
+    std::string_view name = hr.read_bytes(static_cast<size_t>(l_name));
+    int32_t l_ref = hr.read<int32_t>();
+    refs.push_back(
+        sam::Reference{std::string(name.substr(0, name.size() - 1)), l_ref});
+  }
+  SamHeader from_text = SamHeader::from_text(text);
+  h.header = from_text.references().size() == refs.size()
+                 ? std::move(from_text)
+                 : SamHeader::from_references(std::move(refs));
+  return h;
 }
 
-void ShardedBamxReader::read_raw_range(uint64_t begin, uint64_t end,
-                                       std::string& out) const {
-  NGSX_CHECK_MSG(begin <= end && end <= manifest_.n_records,
-                 "BAMX record range out of bounds");
-  // One bulk read per shard the range crosses, concatenated in record
-  // order — byte-identical to the monolithic data section.
-  for (uint64_t at = begin; at < end;) {
-    size_t k = shard_of(at);
-    uint64_t take = std::min<uint64_t>(end, bases_[k + 1]) - at;
-    shards_[k].read_raw_range(at - bases_[k], at - bases_[k] + take, out);
-    at += take;
-  }
-}
-
-std::unique_ptr<RecordSource> open_record_source(const std::string& path) {
-  std::string magic;
-  {
-    InputFile probe(path);
-    magic = probe.read_at(0, 6);
-  }
-  if (std::string_view(magic) == kManifestMagic) {
-    return std::make_unique<ShardedBamxReader>(path);
-  }
-  if (magic.size() >= 5 &&
-      std::string_view(magic).substr(0, 5) == kBamxMagic) {
-    return std::make_unique<BamxReader>(path);
-  }
-  // Diagnose precisely: a 0-byte file, a truncated magic, and a wrong
-  // magic are different failures; name the path and hex-dump what was
-  // actually sniffed so the message alone identifies the input.
+/// FormatError for a path that is neither BAMX nor BAMXM. A 0-byte file, a
+/// truncated magic and a wrong magic are different failures; name the path
+/// and hex-dump what was actually sniffed so the message alone identifies
+/// the input.
+FormatError not_a_record_source(const std::string& path,
+                                const std::string& magic) {
   std::string detail;
   if (magic.empty()) {
     detail = "the file is empty";
@@ -690,21 +433,104 @@ std::unique_ptr<RecordSource> open_record_source(const std::string& path) {
                   : "magic bytes: ") +
              hex;
   }
-  throw FormatError("'" + path + "' is neither a BAMX file nor a BAMXM "
-                    "shard manifest (" + detail + ")");
+  return FormatError("'" + path + "' is neither a BAMX file nor a BAMXM "
+                     "shard manifest (" + detail + ")");
+}
+
+}  // namespace
+
+RecordSource::RecordSource(const std::string& path) {
+  const std::string magic = InputFile(path).read_at(0, kManifestMagic.size());
+  std::optional<BamxManifest> manifest;
+  std::vector<std::string> shard_paths;
+  if (magic == kManifestMagic) {
+    manifest = BamxManifest::load(path);
+    const std::string dir = parent_dir(path);
+    for (const ManifestShard& s : manifest->shards) {
+      shard_paths.push_back(dir + "/" + s.path);
+    }
+  } else if (std::string_view(magic).starts_with(kBamxMagic)) {
+    shard_paths.push_back(path);  // a lone BAMX is a one-shard set
+  } else {
+    throw not_a_record_source(path, magic);
+  }
+
+  shards_.reserve(shard_paths.size());
+  bases_.reserve(shard_paths.size() + 1);
+  bases_.push_back(0);
+  for (size_t k = 0; k < shard_paths.size(); ++k) {
+    InputFile file(shard_paths[k]);
+    ShardHead head = read_shard_head(file);
+    if (manifest) {
+      const ManifestShard& s = manifest->shards[k];
+      if (head.layout != manifest->layout) {
+        throw FormatError("shard '" + s.path +
+                          "' layout disagrees with its manifest");
+      }
+      if (head.n_records != s.n_records) {
+        throw FormatError("shard '" + s.path + "' holds " +
+                          std::to_string(head.n_records) +
+                          " records, manifest says " +
+                          std::to_string(s.n_records));
+      }
+    }
+    if (k == 0) {
+      layout_ = head.layout;
+      header_ = std::move(head.header);
+    }
+    shards_.push_back(Shard{std::move(file), head.data_offset});
+    bases_.push_back(bases_.back() + head.n_records);
+  }
+}
+
+size_t RecordSource::shard_of(uint64_t i) const {
+  // bases_ is ascending with a sentinel; find the last base <= i. Empty
+  // shards (possible when records < shards) contribute repeated bases, so
+  // step past them to a shard that actually holds record i.
+  size_t k = static_cast<size_t>(
+      std::upper_bound(bases_.begin(), bases_.end() - 1, i) - bases_.begin());
+  return k - 1;
+}
+
+void RecordSource::read(uint64_t i, AlignmentRecord& rec) const {
+  std::string body;
+  read_raw_range(i, i + 1, body);
+  decode_record(body, layout_, rec);
+}
+
+void RecordSource::read_range(uint64_t begin, uint64_t end,
+                              std::vector<AlignmentRecord>& out) const {
+  std::string bytes;
+  read_raw_range(begin, end, bytes);
+  const uint64_t stride = layout_.stride();
+  const size_t base = out.size();
+  out.resize(base + (end - begin));
+  for (uint64_t i = 0; i < end - begin; ++i) {
+    decode_record(std::string_view(bytes).substr(i * stride, stride), layout_,
+                  out[base + i]);
+  }
+}
+
+void RecordSource::read_raw_range(uint64_t begin, uint64_t end,
+                                  std::string& out) const {
+  NGSX_CHECK_MSG(begin <= end && end <= num_records(),
+                 "BAMX record range out of bounds");
+  // One bulk positioned read per shard the range crosses, appended in
+  // record order — byte-identical to one monolithic data section.
+  const uint64_t stride = layout_.stride();
+  for (uint64_t at = begin; at < end;) {
+    const size_t k = shard_of(at);
+    const uint64_t take = std::min(end, bases_[k + 1]) - at;
+    const size_t base = out.size();
+    out.resize(base + take * stride);
+    shards_[k].file.pread_exact(out.data() + base, take * stride,
+                                shards_[k].data_offset +
+                                    (at - bases_[k]) * stride);
+    at += take;
+  }
 }
 
 // ----------------------------------------------------------------- BaixIndex
-
-BaixIndex BaixIndex::build(const RecordSource& bamx) {
-  std::vector<BaixEntry> entries;
-  entries.reserve(bamx.num_records());
-  for (uint64_t i = 0; i < bamx.num_records(); ++i) {
-    auto [ref, pos] = bamx.read_ref_pos(i);
-    entries.push_back(BaixEntry{ref, pos, i});
-  }
-  return from_entries(std::move(entries));
-}
 
 bool baix_entry_less(const BaixEntry& a, const BaixEntry& b) {
   if (a.ref_id != b.ref_id) {
@@ -757,7 +583,7 @@ BaixIndex BaixIndex::load(const std::string& path) {
   }
   BaixIndex index;
   uint64_t n = r.read<uint64_t>();
-  if (n * 16 > r.remaining()) {  // 16 bytes per entry on disk
+  if (n > r.remaining() / 16) {  // 16 bytes per entry on disk
     throw FormatError("BAIX entry count exceeds file size");
   }
   index.entries_.reserve(n);

@@ -79,10 +79,6 @@ void restride_record(std::string_view src, const BamxLayout& from,
 void decode_record(std::string_view body, const BamxLayout& layout,
                    sam::AlignmentRecord& rec);
 
-/// Extracts only (ref_id, pos) from an encoded record — the BAIX builder's
-/// fast path; avoids decoding the whole alignment.
-std::pair<int32_t, int32_t> peek_ref_pos(std::string_view body);
-
 /// Sequential BAMX writer. The layout must be known up front (from the
 /// measuring pass); records are validated against it.
 class BamxWriter {
@@ -112,72 +108,6 @@ class BamxWriter {
   bool closed_ = false;
 };
 
-/// Random-access view over preprocessed records: what the conversion phase
-/// actually requires of its input. Implemented by BamxReader (one
-/// monolithic BAMX file) and ShardedBamxReader (M shards behind a
-/// manifest), so every converter works unchanged over either.
-///
-/// Thread-safety contract (relied on by the serving daemon, which issues
-/// many concurrent region queries against ONE shared reader): every method
-/// is const, implementations hold no mutable cursor or shared scratch, and
-/// all file access is positioned (pread). Concurrent calls to any mix of
-/// methods on the same instance are safe; the geometry accessors return
-/// references to state that is immutable after construction.
-class RecordSource {
- public:
-  virtual ~RecordSource() = default;
-
-  virtual const sam::SamHeader& header() const = 0;
-  virtual const BamxLayout& layout() const = 0;
-  virtual uint64_t num_records() const = 0;
-
-  /// Reads record `i` (random access — the property BAMX exists for).
-  virtual void read(uint64_t i, sam::AlignmentRecord& rec) const = 0;
-
-  /// Reads only (ref_id, pos) of record `i`.
-  virtual std::pair<int32_t, int32_t> read_ref_pos(uint64_t i) const = 0;
-
-  /// Reads records [begin, end) appending to `out` (bulk I/O).
-  virtual void read_range(uint64_t begin, uint64_t end,
-                          std::vector<sam::AlignmentRecord>& out) const = 0;
-
-  /// Appends the still-encoded bytes of records [begin, end) — exactly
-  /// (end - begin) * stride bytes, byte-identical to the on-disk record
-  /// section — to `out`. This is the block-cache fetch path of the serving
-  /// daemon: cached bytes are decoded lazily per record, so one bulk read
-  /// serves many point lookups without holding decoded objects.
-  virtual void read_raw_range(uint64_t begin, uint64_t end,
-                              std::string& out) const = 0;
-};
-
-/// Random-access BAMX reader.
-class BamxReader : public RecordSource {
- public:
-  explicit BamxReader(const std::string& path);
-
-  const sam::SamHeader& header() const override { return header_; }
-  const BamxLayout& layout() const override { return layout_; }
-  uint64_t num_records() const override { return n_records_; }
-
-  void read(uint64_t i, sam::AlignmentRecord& rec) const override;
-
-  std::pair<int32_t, int32_t> read_ref_pos(uint64_t i) const override;
-
-  /// Reads records [begin, end) appending to `out` (bulk I/O: one pread).
-  void read_range(uint64_t begin, uint64_t end,
-                  std::vector<sam::AlignmentRecord>& out) const override;
-
-  void read_raw_range(uint64_t begin, uint64_t end,
-                      std::string& out) const override;
-
- private:
-  InputFile file_;
-  sam::SamHeader header_;
-  BamxLayout layout_;
-  uint64_t n_records_ = 0;
-  uint64_t data_offset_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Shard manifest (BAMXM)
 // ---------------------------------------------------------------------------
@@ -195,7 +125,7 @@ struct ManifestShard {
 /// A BAMX shard manifest ("BAMXM\x01", docs/FILEFORMATS.md): the global
 /// layout every shard was (re-)strided to, the total record count, and the
 /// ordered shard list. Produced by the parallel single-pass preprocessor;
-/// consumed by ShardedBamxReader.
+/// consumed by RecordSource.
 struct BamxManifest {
   BamxLayout layout;
   uint64_t n_records = 0;
@@ -207,45 +137,66 @@ struct BamxManifest {
 
   /// Loads and validates: magic/version/stride, contiguous record bases
   /// summing to n_records. Shard paths stay relative; resolve against the
-  /// manifest's directory (ShardedBamxReader does).
+  /// manifest's directory (RecordSource does).
   static BamxManifest load(const std::string& path);
 
   bool operator==(const BamxManifest&) const = default;
 };
 
-/// RecordSource over a BAMXM manifest: M shard readers presented as one
-/// contiguous record space. Every shard must carry the manifest's layout,
-/// so global record i lives at a computable offset inside its shard.
-class ShardedBamxReader : public RecordSource {
+/// Random-access view over preprocessed records: what the conversion phase
+/// actually requires of its input. Opened from a path whose magic is
+/// sniffed: a BAMXM manifest opens as its M shards, a lone BAMX file as a
+/// one-shard set. Every shard carries the same layout, so global record i
+/// lives at a computable offset inside its shard and is fetched with one
+/// positioned read. Anything else throws FormatError naming the path and
+/// the sniffed magic bytes (hex), so a truncated or mistyped input is
+/// diagnosable from the message alone.
+///
+/// Thread-safety contract (relied on by the serving daemon, which issues
+/// many concurrent region queries against ONE shared source): every method
+/// is const, no mutable cursor or shared scratch is held, and all file
+/// access is positioned (pread). Concurrent calls to any mix of methods on
+/// the same instance are safe; the geometry accessors return references to
+/// state that is immutable after construction.
+class RecordSource {
  public:
-  explicit ShardedBamxReader(const std::string& manifest_path);
+  explicit RecordSource(const std::string& path);
 
-  const sam::SamHeader& header() const override;
-  const BamxLayout& layout() const override { return manifest_.layout; }
-  uint64_t num_records() const override { return manifest_.n_records; }
+  const sam::SamHeader& header() const { return header_; }
+  const BamxLayout& layout() const { return layout_; }
+  uint64_t num_records() const { return bases_.back(); }
   size_t num_shards() const { return shards_.size(); }
 
-  void read(uint64_t i, sam::AlignmentRecord& rec) const override;
-  std::pair<int32_t, int32_t> read_ref_pos(uint64_t i) const override;
+  /// Reads record `i` (random access — the property BAMX exists for).
+  void read(uint64_t i, sam::AlignmentRecord& rec) const;
+
+  /// Reads records [begin, end) appending to `out` (bulk I/O: one pread
+  /// per shard the range crosses).
   void read_range(uint64_t begin, uint64_t end,
-                  std::vector<sam::AlignmentRecord>& out) const override;
-  void read_raw_range(uint64_t begin, uint64_t end,
-                      std::string& out) const override;
+                  std::vector<sam::AlignmentRecord>& out) const;
+
+  /// Appends the still-encoded bytes of records [begin, end) — exactly
+  /// (end - begin) * stride bytes, byte-identical to the concatenated
+  /// on-disk record sections — to `out`. This is the block-cache fetch path
+  /// of the serving daemon: cached bytes are decoded lazily per record, so
+  /// one bulk read serves many point lookups without holding decoded
+  /// objects.
+  void read_raw_range(uint64_t begin, uint64_t end, std::string& out) const;
 
  private:
+  struct Shard {
+    InputFile file;
+    uint64_t data_offset = 0;  // first record byte
+  };
+
   /// Index of the shard holding global record `i`.
   size_t shard_of(uint64_t i) const;
 
-  BamxManifest manifest_;
-  std::vector<BamxReader> shards_;
+  sam::SamHeader header_;  // the first shard's
+  BamxLayout layout_;
+  std::vector<Shard> shards_;
   std::vector<uint64_t> bases_;  // shards_[k] starts at bases_[k]; +1 sentinel
 };
-
-/// Opens `path` as a RecordSource, sniffing the magic: a BAMXM manifest
-/// yields a ShardedBamxReader, a BAMX file a BamxReader. Anything else
-/// throws FormatError naming the path and the sniffed magic bytes (hex),
-/// so a truncated or mistyped input is diagnosable from the message alone.
-std::unique_ptr<RecordSource> open_record_source(const std::string& path);
 
 // ---------------------------------------------------------------------------
 // BAIX
@@ -271,10 +222,6 @@ bool baix_entry_less(const BaixEntry& a, const BaixEntry& b);
 class BaixIndex {
  public:
   BaixIndex() = default;
-
-  /// Scans a record source (ref/pos peeks only) and builds the sorted
-  /// index; works over a monolithic BAMX or a shard manifest alike.
-  static BaixIndex build(const RecordSource& bamx);
 
   /// Builds the index from entries collected elsewhere (e.g. during a BAMX
   /// encode pass); sorts them by (ref_id, pos).

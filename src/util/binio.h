@@ -82,9 +82,10 @@ class ByteReader {
     return v;
   }
 
-  /// Reads `n` raw bytes.
+  /// Reads `n` raw bytes. Compares against remaining() so a huge `n`
+  /// (e.g. a negative length field cast to size_t) cannot wrap the check.
   std::string_view read_bytes(size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {
       throw FormatError("truncated read of " + std::to_string(n) +
                         " bytes at offset " + std::to_string(pos_));
     }
@@ -106,7 +107,7 @@ class ByteReader {
   }
 
   void skip(size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {
       throw FormatError("skip past end of buffer");
     }
     pos_ += n;

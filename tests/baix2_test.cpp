@@ -9,6 +9,7 @@
 #include "core/convert.h"
 #include "formats/baix2.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx::baix2 {
@@ -176,7 +177,7 @@ TEST(Baix2, StartWithinParityWithBaixV1) {
   // extra records v2's kOverlap returns are precisely the straddlers v1
   // cannot see.
   Fixture f;
-  bamx::BaixIndex v1 = bamx::BaixIndex::build(bamx::BamxReader(f.bamx_path));
+  bamx::BaixIndex v1 = testutil::baix_of(f.records);
   for (auto [beg, end] : std::vector<std::pair<int32_t, int32_t>>{
            {0, 500000}, {10000, 60000}, {0, 1}, {250000, 250000}}) {
     auto [first, last] = v1.query(0, beg, end);
@@ -206,7 +207,7 @@ TEST(Baix2, OverlapIsStrictSupersetOnStraddledWindow) {
   ASSERT_NE(straddler, nullptr);
   const int32_t beg = straddler->pos + 1;
   const int32_t end = straddler->pos + 2;
-  bamx::BaixIndex v1 = bamx::BaixIndex::build(bamx::BamxReader(f.bamx_path));
+  bamx::BaixIndex v1 = testutil::baix_of(f.records);
   auto [first, last] = v1.query(0, beg, end);
   auto start_within = f.index.query(0, beg, end, RegionMode::kStartWithin);
   auto overlap = f.index.query(0, beg, end, RegionMode::kOverlap);
@@ -228,6 +229,19 @@ TEST(Baix2, LoadBadMagicThrows) {
   TempDir tmp;
   write_file(tmp.file("bad.baix2"), "not an index at all");
   EXPECT_THROW(Baix2Index::load(tmp.file("bad.baix2")), FormatError);
+}
+
+TEST(Baix2, HugeEntryCountRejected) {
+  // A count whose byte size (n * 24) wraps past 2^64 must still fail the
+  // size check, as a FormatError, before anything is reserved.
+  TempDir tmp;
+  Baix2Index().save(tmp.file("empty.baix2"));
+  std::string data = read_file(tmp.file("empty.baix2"));
+  const size_t count_at = data.size() - 8;  // the file ends with n_entries
+  binio::poke_le<uint64_t>(data, count_at, UINT64_MAX / 24 + 1);
+  data += std::string(48, '\0');
+  write_file(tmp.file("huge.baix2"), data);
+  EXPECT_THROW(Baix2Index::load(tmp.file("huge.baix2")), FormatError);
 }
 
 TEST(Baix2, EmptyRegion) {

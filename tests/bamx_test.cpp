@@ -1,5 +1,6 @@
 // Tests for the paper's BAMX / BAIX formats: fixed-stride layout, random
-// access, and the region index used by partial conversion.
+// access, hostile-header bounds, and the region index used by partial
+// conversion.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "formats/bamx.h"
 #include "simdata/readsim.h"
+#include "testutil.h"
 #include "util/tempdir.h"
 
 namespace ngsx::bamx {
@@ -117,9 +119,10 @@ TEST(BamxRecord, PeekRefPos) {
   layout.accommodate(rec);
   std::string buf;
   encode_record(rec, layout, buf);
-  auto [ref, pos] = peek_ref_pos(buf);
-  EXPECT_EQ(ref, rec.ref_id);
-  EXPECT_EQ(pos, rec.pos);
+  // ref_id and pos sit at fixed offsets 0 and 4 of every record, so an
+  // index builder can read them without decoding the record.
+  EXPECT_EQ(binio::get_le<int32_t>(buf, 0), rec.ref_id);
+  EXPECT_EQ(binio::get_le<int32_t>(buf, 4), rec.pos);
 }
 
 TEST(BamxRecord, UnmappedRoundTrip) {
@@ -160,7 +163,7 @@ struct FileFixture {
 
 TEST(BamxFile, HeaderAndCountPersisted) {
   FileFixture f;
-  BamxReader r(f.path);
+  RecordSource r(f.path);
   EXPECT_EQ(r.num_records(), f.records.size());
   EXPECT_EQ(r.layout(), f.layout);
   EXPECT_EQ(r.header().references().size(), 2u);
@@ -168,7 +171,7 @@ TEST(BamxFile, HeaderAndCountPersisted) {
 
 TEST(BamxFile, RandomAccessAnyOrder) {
   FileFixture f;
-  BamxReader r(f.path);
+  RecordSource r(f.path);
   AlignmentRecord rec;
   for (uint64_t i : {199u, 0u, 57u, 123u, 1u, 198u}) {
     r.read(i, rec);
@@ -176,19 +179,9 @@ TEST(BamxFile, RandomAccessAnyOrder) {
   }
 }
 
-TEST(BamxFile, ReadRefPosMatches) {
-  FileFixture f;
-  BamxReader r(f.path);
-  for (uint64_t i = 0; i < f.records.size(); i += 17) {
-    auto [ref, pos] = r.read_ref_pos(i);
-    EXPECT_EQ(ref, f.records[i].ref_id);
-    EXPECT_EQ(pos, f.records[i].pos);
-  }
-}
-
 TEST(BamxFile, ReadRangeBulk) {
   FileFixture f;
-  BamxReader r(f.path);
+  RecordSource r(f.path);
   std::vector<AlignmentRecord> batch;
   r.read_range(50, 100, batch);
   ASSERT_EQ(batch.size(), 50u);
@@ -206,7 +199,7 @@ TEST(BamxFile, ReadRangeBulk) {
 
 TEST(BamxFile, OutOfRangeChecked) {
   FileFixture f;
-  BamxReader r(f.path);
+  RecordSource r(f.path);
   AlignmentRecord rec;
   EXPECT_THROW(r.read(f.records.size(), rec), Error);
   std::vector<AlignmentRecord> batch;
@@ -217,7 +210,7 @@ TEST(BamxFile, BadMagicRejected) {
   TempDir tmp;
   std::string path = tmp.file("bad.bamx");
   write_file(path, "garbage garbage garbage garbage garbage!");
-  EXPECT_THROW(BamxReader r(path), FormatError);
+  EXPECT_THROW(RecordSource r(path), FormatError);
 }
 
 TEST(BamxFile, TruncationDetected) {
@@ -225,7 +218,7 @@ TEST(BamxFile, TruncationDetected) {
   std::string data = read_file(f.path);
   std::string cut = f.tmp.file("cut.bamx");
   write_file(cut, data.substr(0, data.size() - f.layout.stride()));
-  EXPECT_THROW(BamxReader r(cut), FormatError);
+  EXPECT_THROW(RecordSource r(cut), FormatError);
 }
 
 TEST(BamxFile, EmptyFileRoundTrip) {
@@ -236,7 +229,7 @@ TEST(BamxFile, EmptyFileRoundTrip) {
     BamxWriter w(path, test_header(), layout);
     w.close();
   }
-  BamxReader r(path);
+  RecordSource r(path);
   EXPECT_EQ(r.num_records(), 0u);
 }
 
@@ -244,7 +237,7 @@ TEST(BamxFile, EmptyFileRoundTrip) {
 
 TEST(BamxFile, RawRangeMatchesEncodedRecords) {
   FileFixture f;
-  BamxReader r(f.path);
+  RecordSource r(f.path);
   std::string expected;
   for (uint64_t i = 30; i < 70; ++i) {
     encode_record(f.records[i], f.layout, expected);
@@ -287,8 +280,10 @@ TEST(BamxFile, RawRangeAcrossShards) {
   std::string manifest = f.tmp.file("t.bamxm");
   m.save(manifest);
 
-  ShardedBamxReader sharded(manifest);
-  BamxReader mono(f.path);
+  RecordSource sharded(manifest);
+  RecordSource mono(f.path);
+  EXPECT_EQ(sharded.num_shards(), 3u);
+  EXPECT_EQ(mono.num_shards(), 1u);
   // Ranges fully inside a shard, touching a boundary, and spanning all
   // three shards must all match the monolithic bytes exactly.
   for (auto [beg, end] : std::vector<std::pair<uint64_t, uint64_t>>{
@@ -303,11 +298,45 @@ TEST(BamxFile, RawRangeAcrossShards) {
   EXPECT_THROW(sharded.read_raw_range(0, 201, out), Error);
 }
 
-// ------------------------------------------------------ open_record_source
+// ----------------------------------------------------- hostile file headers
+
+/// The fixture's BAMX with the u64 header field at `offset` overwritten.
+std::string patched_copy(const FileFixture& f, size_t offset, uint64_t value) {
+  std::string data = read_file(f.path);
+  binio::poke_le<uint64_t>(data, offset, value);
+  std::string path = f.tmp.file("patched.bamx");
+  write_file(path, data);
+  return path;
+}
+
+// Offsets of the fixed header's u64 fields (docs/FILEFORMATS.md).
+constexpr size_t kNRecordsAt = 5 + 2 + 16 + 8;
+constexpr size_t kBlobSizeAt = kNRecordsAt + 8;
+
+TEST(BamxFile, HugeBlobSizeRejectedBeforeAllocating) {
+  FileFixture f(4);
+  EXPECT_THROW(RecordSource(patched_copy(f, kBlobSizeAt, uint64_t{1} << 62)),
+               FormatError);
+  EXPECT_THROW(RecordSource(patched_copy(f, kBlobSizeAt, UINT64_MAX)),
+               FormatError);
+}
+
+TEST(BamxFile, WrappingRecordCountRejected) {
+  // n_records * stride wraps past 2^64 to less than the file holds; the
+  // count must still be rejected.
+  FileFixture f(4);
+  const uint64_t wraps = UINT64_MAX / f.layout.stride() + 1;
+  EXPECT_THROW(RecordSource(patched_copy(f, kNRecordsAt, wraps)),
+               FormatError);
+  EXPECT_THROW(RecordSource(patched_copy(f, kNRecordsAt, 5)), FormatError);
+  EXPECT_EQ(RecordSource(patched_copy(f, kNRecordsAt, 3)).num_records(), 3u);
+}
+
+// ---------------------------------------------------- opening by magic
 
 std::string open_error(const std::string& path) {
   try {
-    open_record_source(path);
+    RecordSource source(path);
   } catch (const FormatError& e) {
     return e.what();
   }
@@ -350,8 +379,7 @@ TEST(OpenRecordSource, UnknownMagicHexDumped) {
 
 TEST(Baix, BuildSortsByRefThenPos) {
   FileFixture f;
-  BamxReader r(f.path);
-  BaixIndex index = BaixIndex::build(r);
+  BaixIndex index = testutil::baix_of(f.records);
   ASSERT_EQ(index.size(), f.records.size());
   for (size_t i = 1; i < index.size(); ++i) {
     const auto& a = index.entry(i - 1);
@@ -364,8 +392,7 @@ TEST(Baix, BuildSortsByRefThenPos) {
 
 TEST(Baix, QueryMatchesLinearFilter) {
   FileFixture f;
-  BamxReader r(f.path);
-  BaixIndex index = BaixIndex::build(r);
+  BaixIndex index = testutil::baix_of(f.records);
   for (auto [ref, beg, end] : std::vector<std::tuple<int, int, int>>{
            {0, 0, 5000}, {0, 3000, 9000}, {1, 0, 100000}, {0, 0, 1}}) {
     auto [lo, hi] = index.query(ref, beg, end);
@@ -387,8 +414,8 @@ TEST(Baix, QueryMatchesLinearFilter) {
 
 TEST(Baix, EntriesPointToCorrectRecords) {
   FileFixture f;
-  BamxReader r(f.path);
-  BaixIndex index = BaixIndex::build(r);
+  RecordSource r(f.path);
+  BaixIndex index = testutil::baix_of(f.records);
   AlignmentRecord rec;
   auto [lo, hi] = index.query(0, 0, 2000);
   for (size_t e = lo; e < hi; ++e) {
@@ -400,8 +427,7 @@ TEST(Baix, EntriesPointToCorrectRecords) {
 
 TEST(Baix, SaveLoadRoundTrip) {
   FileFixture f;
-  BamxReader r(f.path);
-  BaixIndex index = BaixIndex::build(r);
+  BaixIndex index = testutil::baix_of(f.records);
   std::string path = f.tmp.file("t.baix");
   index.save(path);
   EXPECT_EQ(BaixIndex::load(path), index);
@@ -412,6 +438,17 @@ TEST(Baix, LoadBadMagicThrows) {
   std::string path = tmp.file("bad.baix");
   write_file(path, "XXXXXXXXXXXXXXXXX");
   EXPECT_THROW(BaixIndex::load(path), FormatError);
+}
+
+TEST(Baix, HugeEntryCountRejected) {
+  // 2^60 entries of 16 bytes wrap the byte count to 0; the size check must
+  // still fail, as a FormatError, before anything is reserved.
+  TempDir tmp;
+  BaixIndex().save(tmp.file("empty.baix"));
+  std::string data = read_file(tmp.file("empty.baix"));
+  binio::poke_le<uint64_t>(data, data.size() - 8, uint64_t{1} << 60);
+  write_file(tmp.file("huge.baix"), data + std::string(32, '\0'));
+  EXPECT_THROW(BaixIndex::load(tmp.file("huge.baix")), FormatError);
 }
 
 TEST(Baix, UnmappedSortLast) {

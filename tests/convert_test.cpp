@@ -195,7 +195,7 @@ TEST(BamConverter, PreprocessProducesFaithfulBamx) {
   std::string baix = d.tmp.file("p.baix");
   auto stats = preprocess_bam_parallel(d.bam_path, manifest, baix);
   EXPECT_EQ(stats.records, d.records.size());
-  bamx::ShardedBamxReader reader(manifest);
+  bamx::RecordSource reader(manifest);
   ASSERT_EQ(reader.num_records(), d.records.size());
   AlignmentRecord rec;
   for (size_t i = 0; i < d.records.size(); ++i) {
@@ -339,7 +339,7 @@ TEST_P(PreprocSamRanks, ShardsContainAllRecords) {
       preprocess_sam_parallel(d.sam_path, manifest, d.tmp.file("s.baix"), m);
   EXPECT_EQ(stats.records, d.records.size());
   // M shards whose records, in manifest order, reproduce the input.
-  bamx::ShardedBamxReader reader(manifest);
+  bamx::RecordSource reader(manifest);
   EXPECT_EQ(reader.num_shards(), static_cast<size_t>(m));
   std::vector<AlignmentRecord> all;
   reader.read_range(0, reader.num_records(), all);
@@ -403,8 +403,8 @@ TEST(PreprocSamConverter, SamAndBamFrontEndsAgree) {
                           opt);
   EXPECT_EQ(read_file(d.tmp.file("sam.baix")),
             read_file(d.tmp.file("bam.baix")));
-  bamx::ShardedBamxReader from_sam(sam_manifest);
-  bamx::ShardedBamxReader from_bam(bam_manifest);
+  bamx::RecordSource from_sam(sam_manifest);
+  bamx::RecordSource from_bam(bam_manifest);
   EXPECT_EQ(from_sam.layout(), from_bam.layout());
   std::string sam_bytes, bam_bytes;
   from_sam.read_raw_range(0, from_sam.num_records(), sam_bytes);

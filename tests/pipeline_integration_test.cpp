@@ -5,7 +5,6 @@
 //     -> write SAM                      (simdata, formats/sam)
 //     -> coordinate-sort to BAM         (the upstream samtools-sort step)
 //     -> validate                       (formats/validate)
-//     -> BAI index + region query       (formats/bai)
 //     -> preprocess to BAMXM/BAIX       (core, paper III-B)
 //     -> parallel conversion to BED     (core, paper III-A/B)
 //     -> BED interval algebra           (formats/bed)
@@ -22,7 +21,6 @@
 #include <numeric>
 
 #include "core/convert.h"
-#include "formats/bai.h"
 #include "formats/bam.h"
 #include "formats/bed.h"
 #include "formats/validate.h"
@@ -104,12 +102,7 @@ TEST(PipelineIntegration, EndToEnd) {
   ASSERT_EQ(report.records_checked, records.size());
   ASSERT_FALSE(validate::validate_file(unsorted_sam, validate_options).ok());
 
-  // ---- 4. Standard BAI index answers a region query.
-  auto bai_index = bai::BaiIndex::build(sorted_bam);
-  auto chunks = bai_index.query(0, truth[0].first, truth[0].second);
-  ASSERT_FALSE(chunks.empty());
-
-  // ---- 5. Preprocess (paper III-B) and convert in parallel.
+  // ---- 4. Preprocess (paper III-B) and convert in parallel.
   const std::string bamx = tmp.file("a.bamxm");
   const std::string baix = tmp.file("a.baix");
   core::PreprocessOptions preprocess_options;
@@ -125,7 +118,7 @@ TEST(PipelineIntegration, EndToEnd) {
                                   convert_options);
   ASSERT_EQ(stats.records_in, records.size());
 
-  // ---- 6. BED algebra over the converted rows: merged alignment
+  // ---- 5. BED algebra over the converted rows: merged alignment
   //         footprint must cover each planted region.
   std::vector<bed::BedInterval> rows;
   for (const auto& part : stats.outputs) {
@@ -149,11 +142,11 @@ TEST(PipelineIntegration, EndToEnd) {
     EXPECT_TRUE(covered) << "planted region " << beg << "-" << end;
   }
 
-  // ---- 7. Coverage histogram, built the way ngsx_stats builds it.
+  // ---- 6. Coverage histogram, built the way ngsx_stats builds it.
   auto hist = stats::histogram_from_bam(sorted_bam, bin_size);
   std::vector<double> signal = hist.flatten();
 
-  // ---- 8. Peak calling recovers the planted regions.
+  // ---- 7. Peak calling recovers the planted regions.
   double background =
       std::accumulate(signal.begin(), signal.end(), 0.0) / signal.size();
   auto nulls =
@@ -166,7 +159,7 @@ TEST(PipelineIntegration, EndToEnd) {
   ASSERT_GE(result.p_t, 0);
   ASSERT_EQ(result.regions.size(), truth.size());
 
-  // ---- 9. Close the loop: called peaks vs planted truth, via BED
+  // ---- 8. Close the loop: called peaks vs planted truth, via BED
   //         interval intersection.
   std::vector<bed::BedInterval> called;
   for (const auto& region : result.regions) {

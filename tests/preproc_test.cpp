@@ -1,6 +1,6 @@
 // Tests for the single-pass parallel BAM preprocessor (BAMXM shard
 // manifests): byte-identity against a reference direct encode, the
-// ShardedBamxReader record-space view, manifest validation, and
+// sharded RecordSource record-space view, manifest validation, and
 // crash-consistency when a shard committer dies mid-preprocess.
 
 #include <gtest/gtest.h>
@@ -43,7 +43,7 @@ struct Dataset {
 
 /// The record data section of a BAMX file: the trailing n * stride bytes.
 std::string data_section(const std::string& path) {
-  bamx::BamxReader reader(path);
+  bamx::RecordSource reader(path);
   std::string all = read_file(path);
   uint64_t data = reader.num_records() * reader.layout().stride();
   return all.substr(all.size() - data);
@@ -101,7 +101,7 @@ TEST(PreprocessParallel, ShardsConcatenateToSequentialBytes) {
     // reference BAMX data section byte for byte (same global layout, same
     // record order, same encoding).
     bamx::BamxManifest manifest = bamx::BamxManifest::load(p.manifest);
-    bamx::BamxReader ref(p.ref_bamx);
+    bamx::RecordSource ref(p.ref_bamx);
     EXPECT_EQ(manifest.layout, ref.layout());
     EXPECT_EQ(manifest.n_records, ref.num_records());
     std::string concat;
@@ -175,8 +175,8 @@ TEST(ShardedBamxReader, ReadsAcrossShardBoundaries) {
   opt.chunk_records = 17;
   PreprocPair p = preprocess_both(d, opt);
 
-  bamx::BamxReader ref(p.ref_bamx);
-  bamx::ShardedBamxReader sharded(p.manifest);
+  bamx::RecordSource ref(p.ref_bamx);
+  bamx::RecordSource sharded(p.manifest);
   ASSERT_EQ(sharded.num_records(), ref.num_records());
   EXPECT_EQ(sharded.num_shards(), 4u);
   EXPECT_EQ(sharded.header(), ref.header());
@@ -187,7 +187,6 @@ TEST(ShardedBamxReader, ReadsAcrossShardBoundaries) {
     ref.read(i, a);
     sharded.read(i, b);
     EXPECT_EQ(a, b) << "record " << i;
-    EXPECT_EQ(sharded.read_ref_pos(i), ref.read_ref_pos(i));
   }
 
   // Bulk ranges that straddle shard boundaries.
@@ -208,16 +207,13 @@ TEST(OpenRecordSource, SniffsMagic) {
   opt.shards = 2;
   PreprocPair p = preprocess_both(d, opt);
 
-  EXPECT_NE(dynamic_cast<bamx::BamxReader*>(
-                bamx::open_record_source(p.ref_bamx).get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<bamx::ShardedBamxReader*>(
-                bamx::open_record_source(p.manifest).get()),
-            nullptr);
+  // A lone BAMX opens as a one-shard set, a manifest as its shards.
+  EXPECT_EQ(bamx::RecordSource(p.ref_bamx).num_shards(), 1u);
+  EXPECT_EQ(bamx::RecordSource(p.manifest).num_shards(), 2u);
 
   const std::string junk = d.tmp.file("junk.bamx");
   write_file(junk, "not a bamx file");
-  EXPECT_THROW(bamx::open_record_source(junk), FormatError);
+  EXPECT_THROW(bamx::RecordSource source(junk), FormatError);
 }
 
 TEST(PreprocessParallel, EmptyBamYieldsEmptyManifest) {
@@ -235,7 +231,7 @@ TEST(PreprocessParallel, EmptyBamYieldsEmptyManifest) {
   auto stats = preprocess_bam_parallel(bam, tmp.file("e.bamxm"),
                                        tmp.file("e.baix"), opt);
   EXPECT_EQ(stats.records, 0u);
-  bamx::ShardedBamxReader reader(tmp.file("e.bamxm"));
+  bamx::RecordSource reader(tmp.file("e.bamxm"));
   EXPECT_EQ(reader.num_records(), 0u);
   bamx::BaixIndex baix = bamx::BaixIndex::load(tmp.file("e.baix"));
   EXPECT_EQ(baix.size(), 0u);
@@ -296,7 +292,7 @@ TEST(ShardedBamxReader, RejectsShardLayoutMismatch) {
   bamx::BamxManifest m = bamx::BamxManifest::load(p.manifest);
   m.shards[0].path = "ref.bamx";
   m.save(p.manifest);
-  EXPECT_THROW(bamx::ShardedBamxReader reader(p.manifest), FormatError);
+  EXPECT_THROW(bamx::RecordSource reader(p.manifest), FormatError);
 }
 
 // ------------------------------------------------------- crash consistency

@@ -133,7 +133,7 @@ TEST_P(RoundTripSeeds, ChainedSamBamBamxFiles) {
     }
     w.close();
   }
-  bamx::BamxReader r(tmp.file("a.bamx"));
+  bamx::RecordSource r(tmp.file("a.bamx"));
   ASSERT_EQ(r.num_records(), records.size());
   AlignmentRecord rec;
   for (size_t i = 0; i < records.size(); ++i) {

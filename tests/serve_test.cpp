@@ -379,7 +379,7 @@ TEST(ServeScheduler, FiltersWithoutBaix2AreBadRequest) {
 
 TEST(ServeCache, HitMissEvictionAccounting) {
   ServeData d;
-  bamx::BamxReader source(d.bamx);
+  bamx::RecordSource source(d.bamx);
   const uint64_t stride = source.layout().stride();
   const uint64_t rpb = 16;
   // Budget of exactly two full blocks.
@@ -407,7 +407,7 @@ TEST(ServeCache, HitMissEvictionAccounting) {
 
 TEST(ServeCache, CachedFetcherDecodesIdentically) {
   ServeData d;
-  bamx::BamxReader source(d.bamx);
+  bamx::RecordSource source(d.bamx);
   BlockCache cache(1 << 20, 8);
   CachedFetcher fetcher(source, cache);
   AlignmentRecord direct, cached;

@@ -20,9 +20,21 @@
 
 namespace ngsx::testutil {
 
+/// The v1 BAIX of `records` stored in order (record i at BAMX index i),
+/// built the way the preprocessor builds it: from_entries over (ref, pos).
+inline bamx::BaixIndex baix_of(
+    const std::vector<sam::AlignmentRecord>& records) {
+  std::vector<bamx::BaixEntry> entries;
+  entries.reserve(records.size());
+  for (uint64_t i = 0; i < records.size(); ++i) {
+    entries.push_back(bamx::BaixEntry{records[i].ref_id, records[i].pos, i});
+  }
+  return bamx::BaixIndex::from_entries(std::move(entries));
+}
+
 /// Reference BAM -> BAMX + BAIX: read every record, measure the layout,
 /// then encode directly into one monolithic BAMX and index it with
-/// BaixIndex::from_entries. Independent of the preprocessing pipeline, so
+/// baix_of. Independent of the preprocessing pipeline, so
 /// its bytes are the oracle for the pipeline's shards and BAIX. Returns
 /// the record count.
 inline uint64_t reference_preprocess(const std::string& bam_path,
@@ -37,13 +49,11 @@ inline uint64_t reference_preprocess(const std::string& bam_path,
     records.push_back(rec);
   }
   bamx::BamxWriter writer(bamx_path, reader.header(), layout);
-  std::vector<bamx::BaixEntry> entries;
-  for (uint64_t i = 0; i < records.size(); ++i) {
-    writer.write(records[i]);
-    entries.push_back(bamx::BaixEntry{records[i].ref_id, records[i].pos, i});
+  for (const sam::AlignmentRecord& rec : records) {
+    writer.write(rec);
   }
   writer.close();
-  bamx::BaixIndex::from_entries(std::move(entries)).save(baix_path);
+  baix_of(records).save(baix_path);
   return records.size();
 }
 

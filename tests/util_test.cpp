@@ -97,6 +97,19 @@ TEST(ByteReader, SkipAndRemaining) {
   EXPECT_THROW(r.skip(10), FormatError);
 }
 
+TEST(ByteReader, HugeLengthThrowsWithoutMovingTheCursor) {
+  // A length near SIZE_MAX (a negative int32 length field cast to size_t)
+  // must not wrap the bounds check.
+  std::string buf = "abcdefgh";
+  ByteReader r(buf);
+  r.read_bytes(2);
+  EXPECT_THROW(r.read_bytes(SIZE_MAX), FormatError);
+  EXPECT_THROW(r.read_bytes(static_cast<size_t>(int32_t{-1})), FormatError);
+  EXPECT_THROW(r.skip(SIZE_MAX), FormatError);
+  EXPECT_EQ(r.remaining(), 6u);
+  EXPECT_EQ(r.read_bytes(6), "cdefgh");
+}
+
 // --------------------------------------------------------------- files
 
 TEST(Files, WriteReadRoundTrip) {
