@@ -7,10 +7,13 @@
 // the larger per-point compute).
 //
 // Method: run the real NL-means kernel to (a) verify parallel ==
-// sequential and (b) measure per-point-per-op cost, then replay the 16M-
-// point job. The halo exchange is charged as the paper describes: each
-// rank ships 2(r+l) doubles to neighbours.
+// sequential, (b) measure per-point-per-op cost and (c) print measured
+// points next to the model — the kernel's own r-scaling and
+// nlmeans_parallel at P=1/2/4 on the host — then replay the 16M-point
+// job (the modeled curves). The halo exchange is charged as the paper
+// describes: each rank ships 2(r+l) doubles to neighbours.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -43,6 +46,41 @@ int main(int argc, char** argv) {
     bool identical = seq == par;
     std::printf("functional check (%zu bins, 8 ranks): parallel output %s\n",
                 sample, identical ? "bit-identical to sequential" : "DIFFERS");
+  }
+
+  // Measured on the host (best of 3): the kernel's cost against the
+  // (2r+1) window ratio the model assumes, and the parallel width.
+  auto best_of_3 = [](auto&& body) {
+    double best = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
+      WallTimer timer;
+      body();
+      best = std::min(best, timer.seconds());
+    }
+    return best;
+  };
+  {
+    double r20 = 0;
+    std::printf("measured nlmeans, %zu bins:", sample);
+    for (int r : {20, 80, 320}) {
+      stats::NlMeansParams params;
+      params.r = r;
+      const double t = best_of_3([&] { stats::nlmeans(sample_hist, params); });
+      if (r == 20) {
+        r20 = t;
+        std::printf(" r=20 %.4f s", t);
+      } else {
+        std::printf("; r=%d %.2fx of r=20 (window %.2fx)", r, t / r20,
+                    (2.0 * r + 1) / 41.0);
+      }
+    }
+    std::printf("\nmeasured nlmeans_parallel r=20:");
+    for (int p : {1, 2, 4}) {
+      const double t = best_of_3(
+          [&] { stats::nlmeans_parallel(sample_hist, {}, p); });
+      std::printf(" P=%d %.4f s", p, t);
+    }
+    std::printf("\n\n");
   }
 
   auto costs = cluster::calibrate_stats(sample, /*b=*/8, /*seed=*/11);
@@ -83,7 +121,7 @@ int main(int argc, char** argv) {
       return work;
     };
     auto series = cluster::speedup_series(sim, cores, make_work);
-    bench::print_series("NL-means r=" + std::to_string(r), series);
+    bench::print_series("modeled r=" + std::to_string(r), series);
     if (r == 20) {
       seq_seconds_r20 = series[0].seconds;
     }

@@ -8,7 +8,7 @@ using sam::AlignmentRecord;
 
 namespace {
 
-/// Records read per bulk read_range when a fetch covers the whole source.
+/// Most records one read_range of ConversionSession::fetch covers.
 constexpr uint64_t kFetchBatch = 4096;
 
 }  // namespace
@@ -69,26 +69,33 @@ void ConversionSession::fetch(
     const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
     const std::function<void(AlignmentRecord&)>& emit,
     const RecordFetcher* fetcher) const {
-  if (plan == nullptr) {
-    std::vector<AlignmentRecord> records;
-    for (uint64_t at = begin; at < end; at += kFetchBatch) {
-      records.clear();
-      source_.read_range(at, std::min(end, at + kFetchBatch), records);
-      for (AlignmentRecord& rec : records) {
-        emit(rec);
-      }
+  if (plan != nullptr && fetcher != nullptr) {
+    AlignmentRecord rec;
+    for (uint64_t k = begin; k < end; ++k) {
+      fetcher->fetch((*plan)[static_cast<size_t>(k)], rec);
+      emit(rec);
     }
     return;
   }
-  AlignmentRecord rec;
-  for (uint64_t k = begin; k < end; ++k) {
-    const uint64_t index = (*plan)[static_cast<size_t>(k)];
-    if (fetcher != nullptr) {
-      fetcher->fetch(index, rec);
-    } else {
-      source_.read(index, rec);
+  // From the source: one read_range per run of consecutive record indices
+  // (a whole-source fetch is one long run), capped at kFetchBatch records.
+  auto index_at = [plan](uint64_t k) {
+    return plan == nullptr ? k : (*plan)[static_cast<size_t>(k)];
+  };
+  std::vector<AlignmentRecord> records;
+  for (uint64_t k = begin; k < end;) {
+    const uint64_t first = index_at(k);
+    uint64_t run = 1;
+    while (k + run < end && run < kFetchBatch &&
+           index_at(k + run) == first + run) {
+      ++run;
     }
-    emit(rec);
+    records.clear();
+    source_.read_range(first, first + run, records);
+    for (AlignmentRecord& rec : records) {
+      emit(rec);
+    }
+    k += run;
   }
 }
 

@@ -92,9 +92,11 @@ class ConversionSession {
                              const baix2::Filter& filter = {}) const;
 
   /// The slice fetch every BAMX conversion runs: calls `emit` for plan
-  /// entries [begin, end), in order. `plan` is a record-index list, fetched
-  /// record by record through `fetcher` (default: the source), or null for
-  /// every record of the source, read in bulk batches of 4096 records.
+  /// entries [begin, end), in order. `plan` is a record-index list, or null
+  /// for every record of the source. With a `fetcher`, planned records are
+  /// fetched through it one by one; otherwise they are read from the source
+  /// with one bulk read per run of consecutive indices (at most 4096
+  /// records per read).
   void fetch(const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
              const std::function<void(sam::AlignmentRecord&)>& emit,
              const RecordFetcher* fetcher = nullptr) const;

@@ -24,23 +24,6 @@ int32_t reg2bin(int32_t beg, int32_t end) {
   return 0;
 }
 
-size_t reg2bins(int32_t beg, int32_t end, std::vector<uint16_t>& bins) {
-  bins.clear();
-  --end;
-  bins.push_back(0);
-  for (int32_t k = 1 + (beg >> 26); k <= 1 + (end >> 26); ++k)
-    bins.push_back(static_cast<uint16_t>(k));
-  for (int32_t k = 9 + (beg >> 23); k <= 9 + (end >> 23); ++k)
-    bins.push_back(static_cast<uint16_t>(k));
-  for (int32_t k = 73 + (beg >> 20); k <= 73 + (end >> 20); ++k)
-    bins.push_back(static_cast<uint16_t>(k));
-  for (int32_t k = 585 + (beg >> 17); k <= 585 + (end >> 17); ++k)
-    bins.push_back(static_cast<uint16_t>(k));
-  for (int32_t k = 4681 + (beg >> 14); k <= 4681 + (end >> 14); ++k)
-    bins.push_back(static_cast<uint16_t>(k));
-  return bins.size();
-}
-
 // ---------------------------------------------------------------------- aux
 
 void encode_aux(const std::vector<AuxField>& tags, std::string& out) {
@@ -362,8 +345,9 @@ BamFileReader::BamFileReader(const std::string& path, int decode_threads)
   if (n_ref < 0) {
     throw FormatError("negative n_ref in '" + path + "'");
   }
+  // No reserve from n_ref: the count is untrusted until its entries have
+  // been read, and a truncated header must end in FormatError.
   std::vector<sam::Reference> refs;
-  refs.reserve(static_cast<size_t>(n_ref));
   for (int32_t i = 0; i < n_ref; ++i) {
     int32_t l_name;
     in_.read_exact(&l_name, 4);

@@ -23,10 +23,6 @@ namespace ngsx::bam {
 /// zero-based interval [beg, end).
 int32_t reg2bin(int32_t beg, int32_t end);
 
-/// Fills `bins` with every bin that may overlap [beg, end) (SAM spec list).
-/// Returns the number of bins.
-size_t reg2bins(int32_t beg, int32_t end, std::vector<uint16_t>& bins);
-
 /// Appends the BAM wire encoding of `tags` (SAM spec §4.2.4) to `out`.
 /// Every integer value is written as type 'i' (int32). BAMX stores its aux
 /// section in this same encoding.

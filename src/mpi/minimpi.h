@@ -53,6 +53,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -255,24 +256,37 @@ class Comm {
     return out;
   }
 
-  /// Gathers each rank's vector<T> at every rank, indexed by rank.
-  template <typename T>
-  std::vector<std::vector<T>> allgather_vectors(const std::vector<T>& local) {
+  /// Assembles an array partitioned over the ranks: `fill(slice)` writes
+  /// this rank's elements [lo, hi) of `whole` through `slice`, and on
+  /// return `whole` holds every rank's slice on every rank (the ranks'
+  /// ranges must tile `whole` in rank order). Ranks that share one address
+  /// space write their disjoint slices in place and meet at a barrier;
+  /// process ranks allgather the slices into their own copies.
+  template <typename T, typename Fill>
+  void assemble_slices(std::span<T> whole, size_t lo, size_t hi,
+                       Fill&& fill) {
     static_assert(std::is_trivially_copyable_v<T>);
-    auto parts = allgather(
-        std::string_view(reinterpret_cast<const char*>(local.data()),
-                         local.size() * sizeof(T)));
-    std::vector<std::vector<T>> out;
-    out.reserve(parts.size());
-    for (const auto& p : parts) {
-      NGSX_CHECK(p.size() % sizeof(T) == 0);
-      std::vector<T> v(p.size() / sizeof(T));
-      if (!p.empty()) {
-        __builtin_memcpy(v.data(), p.data(), p.size());
-      }
-      out.push_back(std::move(v));
+    NGSX_CHECK(lo <= hi && hi <= whole.size());
+    if (ranks_share_address_space()) {
+      fill(whole.data() + lo);
+      barrier();
+      return;
     }
-    return out;
+    std::vector<T> mine(hi - lo);
+    fill(mine.data());
+    auto parts = allgather(
+        std::string_view(reinterpret_cast<const char*>(mine.data()),
+                         mine.size() * sizeof(T)));
+    size_t at = 0;
+    for (const auto& p : parts) {
+      const size_t count = p.size() / sizeof(T);
+      NGSX_CHECK(p.size() % sizeof(T) == 0 && count <= whole.size() - at);
+      if (count != 0) {
+        __builtin_memcpy(whole.data() + at, p.data(), p.size());
+      }
+      at += count;
+    }
+    NGSX_CHECK(at == whole.size());
   }
 
   /// Sum-reduction to `root`; other ranks get T{}.

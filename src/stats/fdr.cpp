@@ -74,6 +74,24 @@ void fused_local_sums(std::span<const double> histogram,
   }
 }
 
+/// p_i (eq. 4) of bins [lo, hi) into out[0, hi-lo). Tiles of bins keep
+/// their histogram values and counts cache-resident while each simulation
+/// row streams through once.
+void count_exceedances(std::span<const double> histogram,
+                       const SimulationSet& sims, size_t lo, size_t hi,
+                       int32_t* out) {
+  constexpr size_t kTile = 2048;
+  std::fill(out, out + (hi - lo), 0);
+  for (size_t t0 = lo; t0 < hi; t0 += kTile) {
+    const size_t t1 = std::min(hi, t0 + kTile);
+    for (const auto& sim : sims) {
+      for (size_t i = t0; i < t1; ++i) {
+        out[i - lo] += histogram[i] <= sim[i] ? 1 : 0;
+      }
+    }
+  }
+}
+
 FdrResult make_result(int64_t sum_diamond, int64_t sum_star, size_t b_count) {
   FdrResult res;
   res.numerator =
@@ -223,10 +241,41 @@ FdrResult fdr_parallel_two_pass(std::span<const double> histogram,
   return result;
 }
 
+std::vector<int32_t> exceedance_counts(std::span<const double> histogram,
+                                       const SimulationSet& sims,
+                                       int ranks) {
+  validate(histogram, sims);
+  NGSX_CHECK_MSG(ranks >= 1, "ranks must be >= 1");
+  std::vector<int32_t> counts(histogram.size());
+  if (ranks == 1 || histogram.empty()) {
+    count_exceedances(histogram, sims, 0, histogram.size(), counts.data());
+    return counts;
+  }
+  auto parts = core::split_records(histogram.size(), ranks);
+  mpi::run(ranks, [&](mpi::Comm& comm) {
+    auto [lo, hi] = parts[static_cast<size_t>(comm.rank())];
+    comm.assemble_slices<int32_t>(counts, lo, hi, [&](int32_t* slice) {
+      count_exceedances(histogram, sims, lo, hi, slice);
+    });
+  });
+  return counts;
+}
+
 Threshold select_threshold(std::span<const double> histogram,
                            const SimulationSet& sims, double target_fdr,
                            int ranks) {
+  return select_threshold(histogram, sims,
+                          exceedance_counts(histogram, sims, ranks),
+                          target_fdr, ranks);
+}
+
+Threshold select_threshold(std::span<const double> histogram,
+                           const SimulationSet& sims,
+                           std::span<const int32_t> p_counts,
+                           double target_fdr, int ranks) {
   validate(histogram, sims);
+  NGSX_CHECK_MSG(p_counts.size() == histogram.size(),
+                 "p_i count/histogram bin count mismatch");
   const int b_count = static_cast<int>(sims.size());
 
   // M == 0: every denominator is zero at every threshold (the denominator
@@ -239,22 +288,12 @@ Threshold select_threshold(std::span<const double> histogram,
 
   // p_t = 0: the numerator is structurally zero — every simulated value is
   // <= itself, so rank_of_b >= 1 > p_t for all b — which makes the full
-  // Theta(M B^2) fused sweep a waste; only the Theta(M B) denominator can
-  // decide. FDR is exactly 0 whenever any bin qualifies.
-  {
-    int64_t denom = 0;
-    for (size_t i = 0; i < histogram.size(); ++i) {
-      int64_t p_i = 0;
-      for (size_t b = 0; b < sims.size(); ++b) {
-        p_i += histogram[i] <= sims[b][i] ? 1 : 0;
-      }
-      if (p_i == 0) {
-        ++denom;
-      }
-    }
-    if (denom > 0 && 0.0 <= target_fdr) {
-      return Threshold{0, 0.0};
-    }
+  // Theta(M B^2) fused sweep a waste; only the denominator can decide.
+  // FDR is exactly 0 whenever any bin qualifies.
+  const bool any_at_zero =
+      std::find(p_counts.begin(), p_counts.end(), 0) != p_counts.end();
+  if (any_at_zero && 0.0 <= target_fdr) {
+    return Threshold{0, 0.0};
   }
 
   for (int p_t = 1; p_t <= b_count; ++p_t) {

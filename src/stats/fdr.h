@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -56,6 +57,15 @@ FdrResult fdr_parallel_two_pass(std::span<const double> histogram,
                                 const SimulationSet& sims, int p_t,
                                 int ranks);
 
+/// Eq. 4's p_i for every bin: the number of simulations b with
+/// histogram[i] <= sims[b][i]. Bins are split across `ranks` minimpi ranks
+/// (ranks = 1 runs inline); every rank of a launched world returns the
+/// full vector. This one count pass serves both threshold selection and
+/// region calling (call_peaks).
+std::vector<int32_t> exceedance_counts(std::span<const double> histogram,
+                                       const SimulationSet& sims,
+                                       int ranks = 1);
+
 /// Outcome of the threshold sweep.
 struct Threshold {
   int p_t = -1;      // smallest qualifying threshold; -1 when none does
@@ -69,7 +79,7 @@ struct Threshold {
 /// variants return equal values, so the width never changes the result).
 ///
 /// Edge contracts:
-///  * p_t = 0 is decided by a denominator-only Theta(M B) scan — the
+///  * p_t = 0 is decided by the denominator alone, count(p_i == 0) — the
 ///    numerator is structurally zero there (each simulated value ranks at
 ///    least itself, so rank_of_b >= 1), making the full fused sweep
 ///    unnecessary; FDR at p_t = 0 is exactly 0 whenever any bin qualifies.
@@ -80,5 +90,13 @@ struct Threshold {
 Threshold select_threshold(std::span<const double> histogram,
                            const SimulationSet& sims, double target_fdr,
                            int ranks = 1);
+
+/// select_threshold with the p_t = 0 scan read from `p_counts`, which must
+/// be exceedance_counts(histogram, sims) (call_peaks computes it once for
+/// threshold selection and region calling).
+Threshold select_threshold(std::span<const double> histogram,
+                           const SimulationSet& sims,
+                           std::span<const int32_t> p_counts,
+                           double target_fdr, int ranks);
 
 }  // namespace ngsx::stats

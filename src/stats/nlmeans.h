@@ -9,7 +9,22 @@
 //   w(i,j)   = exp(-||N(v_i)-N(v_j)||^2 / (2 sigma^2)) / Z(i)
 //
 // Parameters: search-range radius r, half patch size l, filtering sigma.
-// Complexity Theta(N (2r+1)(2l+1)).
+// Complexity Theta(N (2r+1)(2l+1)) in the definition; the kernel evaluates
+// each pair weight w(i, i+k) once for both of its points, so it does about
+// N (r+1)(2l+1) patch terms and N (r+1) exp calls, offset by offset over
+// blocks of outputs (the loop order of Darbon et al.'s fast NL-means,
+// without their running sums).
+//
+// Order contract: every output is computed with the IEEE operation
+// sequence of the direct loop — each patch distance summed over d = -l..l
+// in ascending order, the weight as exp(-(dist * p) * s) with the
+// reciprocals p = 1/(2l+1) and s = 1/(2 sigma^2) and scalar std::exp, z
+// and the weighted sum accumulated over the 2r+1 offsets in ascending
+// order, no FMA contraction — so the result is bitwise equal to it for
+// any finite input (tests/stats_test.cpp keeps that loop as the oracle).
+// Blocking, partitioning and the range API never change a bit. Scratch
+// per call: a window of block + 2(r+l) values and O(s (block + s)) pair
+// weights, with block = 256 outputs and s = min(r, 512).
 //
 // The parallelization follows the paper exactly: the histogram is divided
 // evenly across ranks, each partition is *extended by an (r+l)-wide

@@ -1,9 +1,9 @@
-// Tests for the BAM binary codec, the UCSC binning functions, and the
+// Tests for the BAM binary codec, the UCSC binning function, and the
 // streaming reader/writer.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,28 +59,6 @@ TEST(Reg2Bin, SpecLevels) {
   int parent = reg2bin((1 << 14) - 1, (1 << 14) + 1);
   EXPECT_GE(parent, 585);
   EXPECT_LT(parent, 4681);
-}
-
-TEST(Reg2Bins, ContainsRecordBin) {
-  std::vector<uint16_t> bins;
-  for (auto [beg, end] : std::vector<std::pair<int32_t, int32_t>>{
-           {0, 100}, {12345, 12435}, {(1 << 20) - 5, (1 << 20) + 5},
-           {1 << 26, (1 << 26) + 90}}) {
-    int bin = reg2bin(beg, end);
-    reg2bins(beg, end, bins);
-    EXPECT_NE(std::find(bins.begin(), bins.end(), bin), bins.end())
-        << "bin " << bin << " for [" << beg << "," << end << ")";
-    EXPECT_EQ(bins[0], 0);  // root always a candidate
-  }
-}
-
-TEST(Reg2Bins, DisjointRegionsShareOnlyAncestors) {
-  std::vector<uint16_t> a;
-  std::vector<uint16_t> b;
-  reg2bins(0, 100, a);
-  reg2bins(1 << 27, (1 << 27) + 100, b);
-  // Leaf bins must differ.
-  EXPECT_NE(a.back(), b.back());
 }
 
 // ------------------------------------------------------------ record codec
@@ -337,6 +315,23 @@ TEST(BamFile, BadMagicRejected) {
   {
     bgzf::Writer w(path);
     w.write("NOPE");
+    w.close();
+  }
+  EXPECT_THROW(BamFileReader reader(path), FormatError);
+}
+
+TEST(BamFile, HugeReferenceCountThenEofRejected) {
+  // n_ref = INT32_MAX with no reference entries behind it: the reader must
+  // stop at the truncation with FormatError, not size anything by n_ref.
+  TempDir tmp;
+  std::string path = tmp.file("nref.bam");
+  {
+    bgzf::Writer w(path);
+    const int32_t l_text = 0;
+    const int32_t n_ref = INT32_MAX;
+    w.write("BAM\1");
+    w.write(&l_text, 4);
+    w.write(&n_ref, 4);
     w.close();
   }
   EXPECT_THROW(BamFileReader reader(path), FormatError);

@@ -1,20 +1,26 @@
 // Transport parity: the minimpi semantics contract (docs/DISTRIBUTED.md)
-// run against every backend. Each test sets NGSX_MPI_TRANSPORT and calls
-// the ordinary mpi::run() entry point; for tcp that forks real child
-// processes, so rank bodies assert with NGSX_CHECK (which propagates
-// through the abort/rethrow path) rather than gtest macros (which would be
-// invisible in a child).
+// run against every backend, up to call_peaks in a launched world. Each
+// test sets NGSX_MPI_TRANSPORT and calls the ordinary mpi::run() entry
+// point; for tcp that forks real child processes, so rank bodies assert
+// with NGSX_CHECK (which propagates through the abort/rethrow path) rather
+// than gtest macros (which would be invisible in a child).
 
 #include "mpi/minimpi.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "mpi/launch.h"
+#include "simdata/histsim.h"
+#include "stats/peaks.h"
 #include "util/common.h"
 
 namespace mpi = ngsx::mpi;
@@ -265,6 +271,115 @@ TEST_P(TransportTest, CrashedRankAbortsInsteadOfHanging) {
   } catch (const ngsx::Error& e) {
     EXPECT_NE(std::string(e.what()).find("rank 2"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST_P(TransportTest, AssembledSlicesReachEveryRank) {
+  // One result array, as a caller holds it: shared by thread ranks, a
+  // private copy in each process rank.
+  constexpr size_t kLen = 1000;
+  std::vector<int32_t> whole(kLen, -1);
+  mpi::run(4, [&](mpi::Comm& c) {
+    const size_t lo = kLen * static_cast<size_t>(c.rank()) / 4;
+    const size_t hi = kLen * static_cast<size_t>(c.rank() + 1) / 4;
+    c.assemble_slices<int32_t>(whole, lo, hi, [&](int32_t* slice) {
+      for (size_t i = lo; i < hi; ++i) {
+        slice[i - lo] = static_cast<int32_t>(i * 3);
+      }
+    });
+    for (size_t i = 0; i < kLen; ++i) {
+      NGSX_CHECK(whole[i] == static_cast<int32_t>(i * 3));
+    }
+  });
+}
+
+/// call_peaks input with planted peaks: a non-empty result to compare.
+struct PeakInput {
+  std::vector<double> hist;
+  ngsx::stats::SimulationSet sims;
+
+  PeakInput() {
+    ngsx::simdata::HistSimConfig cfg;
+    cfg.seed = 5;
+    cfg.peak_density = 0.0;
+    hist = ngsx::simdata::simulate_histogram(3000, cfg);
+    for (size_t c : {600, 1800}) {
+      for (size_t i = c - 20; i < c + 20; ++i) {
+        hist[i] += 60.0;
+      }
+    }
+    sims = ngsx::simdata::simulate_null_batch(3000, 10, cfg.background_rate,
+                                              6);
+  }
+};
+
+bool same_peaks(const ngsx::stats::PeakCallResult& a,
+                const ngsx::stats::PeakCallResult& b) {
+  return a.p_t == b.p_t && a.fdr == b.fdr && a.regions == b.regions &&
+         a.denoised.size() == b.denoised.size() &&
+         std::memcmp(a.denoised.data(), b.denoised.data(),
+                     a.denoised.size() * sizeof(double)) == 0;
+}
+
+TEST_P(TransportTest, CallPeaksGivesEveryRankTheFullResult) {
+  // Every parallel stage of call_peaks (NL-means, the p_i counts, the FDR
+  // sweep) must hand each rank the whole result, or a launched world's
+  // ranks would diverge after the first stage.
+  const PeakInput in;
+  ngsx::stats::PeakCallParams params;
+  params.ranks = 1;  // runs no world: the same on every backend
+  const ngsx::stats::PeakCallResult want =
+      ngsx::stats::call_peaks(in.hist, in.sims, params);
+  ASSERT_GE(want.p_t, 0);
+  ASSERT_FALSE(want.regions.empty());
+
+  constexpr int kRanks = 3;
+  params.ranks = kRanks;
+  EXPECT_TRUE(same_peaks(ngsx::stats::call_peaks(in.hist, in.sims, params),
+                         want));
+  if (!multiprocess()) {
+    return;
+  }
+  // A launched world, as ngsx_mpirun starts it: every process is one rank
+  // and returns from call_peaks itself.
+  uint16_t port = 0;
+  const int listen_fd = mpi::detail::tcp_bind_listener("127.0.0.1", &port);
+  std::vector<pid_t> pids;
+  std::fflush(nullptr);  // no buffered parent output to repeat in children
+  for (int r = 0; r < kRanks; ++r) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::setenv("NGSX_MPI_RANK", std::to_string(r).c_str(), 1);
+      ::setenv("NGSX_MPI_SIZE", std::to_string(kRanks).c_str(), 1);
+      ::setenv("NGSX_MPI_TCP_RENDEZVOUS",
+               ("127.0.0.1:" + std::to_string(port)).c_str(), 1);
+      if (r == 0) {
+        ::setenv("NGSX_MPI_TCP_LISTEN_FD", std::to_string(listen_fd).c_str(),
+                 1);
+      }
+      int status = 2;
+      try {
+        status = same_peaks(ngsx::stats::call_peaks(in.hist, in.sims, params),
+                            want)
+                     ? 0
+                     : 1;
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "rank %d: %s\n", r, e.what());
+      }
+      // exit, not _exit: like an exec'd rank, the child must tear its
+      // world endpoint down gracefully (tcp FIN) or peers see a crash.
+      std::exit(status);
+    }
+    pids.push_back(pid);
+  }
+  ::close(listen_fd);
+  for (int r = 0; r < kRanks; ++r) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pids[static_cast<size_t>(r)], &status, 0),
+              pids[static_cast<size_t>(r)]);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "rank " << r << " status " << status;
   }
 }
 

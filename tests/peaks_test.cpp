@@ -123,6 +123,37 @@ TEST(CallPeaks, ParallelAndSequentialAgree) {
   EXPECT_EQ(a.regions, b.regions);
 }
 
+TEST(CallPeaks, NonZeroThresholdAgreesAcrossWidths) {
+  // No bin beats every null (one null row spikes over each planted block),
+  // so p_t = 0 has no candidates and the sweep must reach p_t >= 1, where
+  // the shared p_i counts feed both the threshold and the regions.
+  constexpr size_t kBins = 600;
+  std::vector<double> hist(kBins, 0.0);
+  auto sims = flat_sims(kBins, 8, 5.0);
+  for (size_t begin : {100, 300, 450}) {
+    for (size_t i = begin; i < begin + 12; ++i) {
+      hist[i] = 100.0;
+      sims[begin % 8][i] = 1000.0;
+    }
+  }
+  PeakCallParams params;
+  params.target_fdr = 0.2;
+  params.min_bins = 3;
+  params.ranks = 1;
+  const PeakCallResult seq = call_peaks(hist, sims, params);
+  ASSERT_GE(seq.p_t, 1);
+  EXPECT_FALSE(seq.regions.empty());
+  params.ranks = 4;
+  const PeakCallResult par = call_peaks(hist, sims, params);
+  EXPECT_EQ(par.p_t, seq.p_t);
+  EXPECT_EQ(par.fdr, seq.fdr);
+  EXPECT_EQ(par.regions, seq.regions);
+  EXPECT_EQ(par.denoised, seq.denoised);
+  EXPECT_EQ(call_enriched_regions(seq.denoised, sims, seq.p_t,
+                                  params.min_bins, params.merge_gap),
+            seq.regions);
+}
+
 TEST(CallPeaks, NoDenoiseOption) {
   std::vector<double> hist(100, 0.0);
   for (size_t i = 40; i < 50; ++i) {

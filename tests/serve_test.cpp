@@ -217,6 +217,40 @@ TEST(ServeByteIdentity, ShardedManifestSource) {
                               region));
 }
 
+TEST(ServeByteIdentity, CoalescedPlanFetchMatchesRecordReads) {
+  // fetch() reads runs of consecutive plan indices in bulk; every mix of
+  // runs, repeats, backward steps and shard crossings must emit exactly
+  // the records a per-index read gives.
+  ServeData d;
+  const std::string manifest = d.tmp.file("in.bamxm");
+  core::PreprocessOptions popt;
+  popt.threads = 2;
+  popt.shards = 3;
+  core::preprocess_bam_parallel(d.bam, manifest, d.tmp.file("par.baix"),
+                                popt);
+  ConversionSession session(SessionOptions{manifest, {}, {}});
+  bamx::RecordSource source(manifest);
+  const uint64_t n = source.num_records();
+  std::vector<uint64_t> plan;
+  for (uint64_t i = 0; i < n; ++i) {
+    plan.push_back(i);  // one run across every shard boundary
+  }
+  for (uint64_t i : {5ul, 6ul, 6ul, 7ul, 3ul, 4ul, n - 1, 0ul, 1ul}) {
+    plan.push_back(i);
+  }
+  for (uint64_t begin : {0ul, 1ul, n - 2}) {
+    std::vector<AlignmentRecord> got;
+    session.fetch(&plan, begin, plan.size(),
+                  [&](AlignmentRecord& rec) { got.push_back(rec); });
+    ASSERT_EQ(got.size(), plan.size() - begin);
+    AlignmentRecord want;
+    for (size_t k = 0; k < got.size(); ++k) {
+      source.read(plan[begin + k], want);
+      EXPECT_EQ(got[k], want) << "plan entry " << begin + k;
+    }
+  }
+}
+
 // ------------------------------------------------------------- scheduler
 
 TEST(ServeScheduler, CoalescesOverlappingQueuedRequests) {

@@ -1,12 +1,20 @@
 // Tests for the statistical-analysis module: coverage histograms, NL-means
-// denoising (sequential/parallel equivalence — the paper's halo replication
-// correctness), and FDR (reference == fused == Algorithm 2 == two-pass).
+// denoising (bit-exact against the direct per-point oracle, sequentially,
+// through the range API and at every parallel width — the paper's halo
+// replication correctness), and FDR (reference == fused == Algorithm 2 ==
+// two-pass).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <span>
+#include <tuple>
+#include <utility>
 
 #include "simdata/histsim.h"
 #include "simdata/readsim.h"
@@ -138,6 +146,74 @@ TEST(Histogram, FromSamAndBamAgree) {
 
 // ----------------------------------------------------------------- NL-means
 
+/// The direct per-point NL-means loop — the library's kernel before it
+/// went offset-major, kept verbatim as the bit-exact oracle (as
+/// fdr_reference is for FDR), over the whole of `data`.
+std::vector<double> nlmeans_reference(std::span<const double> data,
+                                      const NlMeansParams& params) {
+  const double* buf = data.data();
+  const size_t buf_len = data.size();
+  const size_t buf_begin = 0;
+  const size_t out_begin = 0;
+  const size_t out_end = data.size();
+  std::vector<double> result(data.size());
+  double* out = result.data();
+
+  NGSX_CHECK_MSG(params.r >= 0 && params.l >= 0 && params.sigma > 0,
+                 "invalid NL-means parameters");
+  const long n = static_cast<long>(data.size());
+  const long r = params.r;
+  const long l = params.l;
+  const double inv_two_sigma_sq = 1.0 / (2.0 * params.sigma * params.sigma);
+  const double inv_patch = 1.0 / static_cast<double>(2 * l + 1);
+
+  auto at = [&](long global_idx) -> double {
+    long clamped = std::clamp(global_idx, 0L, n - 1);
+    size_t local = static_cast<size_t>(clamped) - buf_begin;
+    NGSX_CHECK_MSG(local < buf_len, "NL-means window escapes buffer");
+    return buf[local];
+  };
+
+  for (size_t i = out_begin; i < out_end; ++i) {
+    const long gi = static_cast<long>(i);
+    double z = 0.0;
+    double acc = 0.0;
+    for (long gj = gi - r; gj <= gi + r; ++gj) {
+      // Patch distance: mean squared difference over the 2l+1 patch.
+      double dist = 0.0;
+      for (long d = -l; d <= l; ++d) {
+        double diff = at(gi + d) - at(gj + d);
+        dist += diff * diff;
+      }
+      dist *= inv_patch;
+      double w = std::exp(-dist * inv_two_sigma_sq);
+      z += w;
+      long gj_clamped = std::clamp(gj, 0L, n - 1);
+      acc += w * at(gj_clamped);
+    }
+    out[i - out_begin] = acc / z;
+  }
+  return result;
+}
+
+/// Bitwise equality: EXPECT_DOUBLE_EQ would allow 4 ULPs.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Uniform values in [-50, 50): negative and non-integer, unlike counts.
+std::vector<double> random_signal(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-50.0, 50.0);
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = dist(rng);
+  }
+  return v;
+}
+
 std::vector<double> noisy_signal(size_t n, uint64_t seed) {
   simdata::HistSimConfig cfg;
   cfg.seed = seed;
@@ -185,30 +261,39 @@ TEST(NlMeans, PreservesMeanApproximately) {
 }
 
 TEST(NlMeans, RangeApiMatchesWhole) {
-  auto data = noisy_signal(800, 7);
-  auto whole = nlmeans(data, {});
-  std::vector<double> part(300);
-  nlmeans_range(data, 200, 500, {}, part);
-  for (size_t i = 0; i < 300; ++i) {
-    EXPECT_DOUBLE_EQ(part[i], whole[200 + i]);
+  // The kernel works in blocks of outputs starting at the range's first
+  // point; slices straddling, starting and ending on block edges must all
+  // match the oracle's slice of the whole array.
+  const auto data = random_signal(1300, 5);
+  NlMeansParams params;
+  params.r = 9;
+  params.l = 4;
+  params.sigma = 12.0;
+  const auto whole = nlmeans_reference(data, params);
+  const std::vector<std::pair<size_t, size_t>> slices = {
+      {0, 1300}, {0, 256}, {0, 257}, {255, 257}, {256, 512}, {100, 700},
+      {1, 1299}, {511, 1025}, {1299, 1300}, {600, 600}};
+  for (auto [begin, end] : slices) {
+    std::vector<double> part(end - begin);
+    nlmeans_range(data, begin, end, params, part);
+    EXPECT_TRUE(same_bits(
+        part, std::span<const double>(whole).subspan(begin, end - begin)))
+        << "[" << begin << ", " << end << ")";
   }
 }
 
 class NlMeansRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(NlMeansRanks, ParallelBitIdenticalToSequential) {
-  auto data = noisy_signal(2000, 31);
+  const auto data = random_signal(2000, 31);
   NlMeansParams params;
-  auto seq = nlmeans(data, params);
-  auto par = nlmeans_parallel(data, params, GetParam());
-  ASSERT_EQ(par.size(), seq.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_DOUBLE_EQ(par[i], seq[i]) << "point " << i;
-  }
+  params.sigma = 9.0;
+  EXPECT_TRUE(same_bits(nlmeans_parallel(data, params, GetParam()),
+                        nlmeans_reference(data, params)));
 }
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, NlMeansRanks,
-                         ::testing::Values(1, 2, 3, 5, 8, 16));
+                         ::testing::Values(1, 2, 3, 5, 8, 16, 4));
 
 TEST(NlMeans, TinyPartitionsStillCorrect) {
   // Partitions smaller than the halo exercise the deep-halo fallback.
@@ -216,9 +301,7 @@ TEST(NlMeans, TinyPartitionsStillCorrect) {
   NlMeansParams params;  // r+l = 35 > 40/8 = 5 per rank
   auto seq = nlmeans(data, params);
   auto par = nlmeans_parallel(data, params, 8);
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_DOUBLE_EQ(par[i], seq[i]);
-  }
+  EXPECT_TRUE(same_bits(par, seq));
 }
 
 TEST(NlMeans, HaloFallbackPartitionsBitIdentical) {
@@ -237,24 +320,84 @@ TEST(NlMeans, HaloFallbackPartitionsBitIdentical) {
   auto seq = nlmeans(data, params);
   for (int ranks : {3, 5, 8, 16, 24, 30}) {
     auto par = nlmeans_parallel(data, params, ranks);
-    ASSERT_EQ(par.size(), seq.size());
-    for (size_t i = 0; i < seq.size(); ++i) {
-      EXPECT_EQ(par[i], seq[i]) << "ranks=" << ranks << " bin=" << i;
-    }
+    EXPECT_TRUE(same_bits(par, seq)) << "ranks=" << ranks;
   }
 }
 
 TEST(NlMeans, VariousParameters) {
-  auto data = noisy_signal(600, 41);
-  for (int r : {1, 5, 40}) {
-    for (int l : {0, 1, 10}) {
+  // Every r x l pair, including r + l > n and the degenerate sizes, on
+  // non-integer data (integer counts sum exactly in any order, hiding
+  // summation-order changes), plus a histogram at the paper's defaults.
+  for (size_t n : {0, 1, 2, 7, 40, 700}) {
+    const auto data = random_signal(n, 100 + n);
+    for (int r : {0, 1, 5, 40}) {
+      for (int l : {0, 1, 10, 15}) {
+        NlMeansParams params;
+        params.r = r;
+        params.l = l;
+        params.sigma = 7.5;
+        const auto want = nlmeans_reference(data, params);
+        EXPECT_TRUE(same_bits(nlmeans(data, params), want))
+            << "n=" << n << " r=" << r << " l=" << l;
+        EXPECT_TRUE(same_bits(nlmeans_parallel(data, params, 4), want))
+            << "n=" << n << " r=" << r << " l=" << l;
+      }
+    }
+  }
+  const auto hist = noisy_signal(3000, 17);
+  EXPECT_TRUE(same_bits(nlmeans(hist, {}), nlmeans_reference(hist, {})));
+}
+
+TEST(NlMeans, WideSearchRadiiBitIdentical) {
+  // r above the block length carries rows longer than a block between
+  // blocks; r above the kernel's stored pair-weight rows recomputes those
+  // offsets per sign. Both must keep the oracle's bits, whole and sliced.
+  for (auto [n, r, l] : {std::tuple{1000ul, 300, 3}, std::tuple{600ul, 600, 1},
+                         std::tuple{60ul, 700, 2}}) {
+    const auto data = random_signal(n, 9 + n);
+    NlMeansParams params;
+    params.r = r;
+    params.l = l;
+    const auto want = nlmeans_reference(data, params);
+    EXPECT_TRUE(same_bits(nlmeans(data, params), want)) << "r=" << r;
+    std::vector<double> part(n / 2);
+    nlmeans_range(data, n / 3, n / 3 + n / 2, params, part);
+    EXPECT_TRUE(same_bits(
+        part, std::span<const double>(want).subspan(n / 3, n / 2)))
+        << "r=" << r;
+  }
+}
+
+TEST(NlMeans, NonFiniteInputsKeepOracleClassPerBin) {
+  // NaN and +-Inf make the offset-0 weight NaN instead of 1, so the
+  // kernel must compute it from the data. Per bin, the class (NaN, +Inf,
+  // -Inf, finite) must match the oracle, and finite values its bits.
+  auto data = random_signal(400, 77);
+  data[10] = std::numeric_limits<double>::quiet_NaN();
+  data[150] = std::numeric_limits<double>::infinity();
+  data[151] = -std::numeric_limits<double>::infinity();
+  data[399] = std::numeric_limits<double>::infinity();
+  auto cls = [](double v) {
+    return std::isnan(v) ? 0 : std::isinf(v) ? (v > 0 ? 1 : 2) : 3;
+  };
+  for (int r : {0, 2, 20}) {
+    for (int l : {0, 3}) {
       NlMeansParams params;
       params.r = r;
       params.l = l;
-      auto seq = nlmeans(data, params);
-      auto par = nlmeans_parallel(data, params, 4);
-      for (size_t i = 0; i < seq.size(); ++i) {
-        ASSERT_DOUBLE_EQ(par[i], seq[i]) << "r=" << r << " l=" << l;
+      const auto want = nlmeans_reference(data, params);
+      for (int ranks : {1, 3}) {
+        const auto got = nlmeans_parallel(data, params, ranks);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(cls(got[i]), cls(want[i]))
+              << "r=" << r << " l=" << l << " bin=" << i;
+          if (cls(want[i]) == 3) {
+            ASSERT_TRUE(same_bits(std::span<const double>(&got[i], 1),
+                                  std::span<const double>(&want[i], 1)))
+                << "r=" << r << " l=" << l << " bin=" << i;
+          }
+        }
       }
     }
   }
@@ -415,6 +558,23 @@ TEST(Fdr, SelectThresholdMatchesReferenceSweep) {
     EXPECT_EQ(select_threshold(f.hist, f.sims, target).p_t, naive)
         << "target=" << target;
   }
+}
+
+TEST(Fdr, ExceedanceCountsAreEq4AtEveryWidth) {
+  FdrFixture f(700, 9, 8);
+  std::vector<int32_t> want(f.hist.size());
+  for (size_t i = 0; i < f.hist.size(); ++i) {
+    for (const auto& sim : f.sims) {
+      want[i] += f.hist[i] <= sim[i] ? 1 : 0;
+    }
+  }
+  for (int ranks : {1, 2, 3, 8}) {
+    EXPECT_EQ(exceedance_counts(f.hist, f.sims, ranks), want)
+        << "ranks=" << ranks;
+  }
+  SimulationSet short_row = f.sims;
+  short_row[2].pop_back();
+  EXPECT_THROW(exceedance_counts(f.hist, short_row), Error);
 }
 
 TEST(Fdr, SelectThresholdEmptyHistogram) {
