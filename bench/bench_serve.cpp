@@ -1,13 +1,16 @@
 // Resident serving benchmark: cold one-shot region conversion (open the
-// source + load the index per request, what each `ngsx_convert --region`
-// invocation pays) vs the warm resident path (one ConversionSession held
-// open by ngsx_serve, shared scheduler, hot blocks in the LRU cache).
+// source and the BAIX, read the index pages the query's binary searches
+// touch, per request: what each `ngsx_convert --region` invocation pays)
+// vs the warm resident path (one ConversionSession held open by
+// ngsx_serve, its index pages cached, shared scheduler, hot blocks in the
+// LRU cache).
 //
 // The paper removes sequential bottlenecks *within* one conversion; a
 // region-query workload (genome browser, pileup service) adds an
-// orthogonal one — per-request setup. For a small region the index load
-// dominates end-to-end latency, so the resident session should win by a
-// wide margin (the acceptance bar is >= 5x).
+// orthogonal one — per-request setup. For a small region that setup (the
+// source open and O(log n) index page reads) is a large share of cold
+// latency, so the resident session should win by a wide margin (the
+// acceptance bar is >= 5x).
 //
 // Emits BENCH_serve.json (path configurable with --json):
 //
@@ -95,8 +98,8 @@ int main(int argc, char** argv) {
   sopt.baix_path = baix_path;
 
   // ------------------------------------------------------------------ cold
-  // What every one-shot invocation pays: open the BAMX, load the BAIX,
-  // plan, fetch, format — then throw it all away. (A real ngsx_convert
+  // What every one-shot invocation pays: open the BAMX and the BAIX,
+  // search the index pages, plan, fetch, format — then throw it all away. (A real ngsx_convert
   // additionally pays process spawn, so this is a conservative floor.)
   uint64_t planned_records = 0;
   double cold_total_s = 0.0;

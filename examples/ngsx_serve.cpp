@@ -3,9 +3,9 @@
 // Opens a preprocessed BAMX/BAMXM shard set ONCE — source, BAIX, optional
 // BAIXv2 — and answers region-convert requests over a Unix-domain socket,
 // multiplexed onto one shared exec::Pool. The one-shot ngsx_convert pays
-// the open/index-load setup on every invocation; a browser or pileup
-// service issuing many small region queries amortizes it to zero here,
-// and hot shard blocks are served from an LRU byte-budget cache.
+// the source open and the index page reads on every invocation; a browser
+// or pileup service issuing many small region queries amortizes them to
+// zero here, and hot shard blocks are served from an LRU byte-budget cache.
 //
 // Usage:
 //   ngsx_serve --data shards.bamxm --baix shards.baix --socket /tmp/ngsx.sock

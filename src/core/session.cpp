@@ -17,7 +17,7 @@ ConversionSession::ConversionSession(SessionOptions options)
     : options_(std::move(options)),
       source_(options_.bamx_path) {}
 
-const bamx::BaixIndex& ConversionSession::baix() const {
+const bamx::BaixReader& ConversionSession::baix() const {
   // call_once retries after an exception, so a failed load is reported to
   // every caller rather than leaving later ones with an empty index.
   std::call_once(baix_once_, [this] {
@@ -25,7 +25,7 @@ const bamx::BaixIndex& ConversionSession::baix() const {
       throw UsageError("session has no BAIX index (partial conversion "
                        "requires one)");
     }
-    baix_.emplace(bamx::BaixIndex::load(options_.baix_path));
+    baix_.emplace(options_.baix_path);
   });
   return *baix_;
 }
@@ -44,23 +44,36 @@ const baix2::Baix2Index& ConversionSession::baix2() const {
 std::vector<uint64_t> ConversionSession::plan(const Region& region,
                                               baix2::RegionMode mode,
                                               const baix2::Filter& filter) const {
-  if (has_baix2()) {
-    return baix2().query(region.ref_id, region.begin, region.end, mode,
-                         filter);
-  }
-  const bool default_filter = filter.min_mapq == 0 &&
-                              !filter.reverse_strand.has_value() &&
-                              filter.include_duplicates;
-  if (mode != baix2::RegionMode::kStartWithin || !default_filter) {
-    throw UsageError(
-        "overlap regions and filters require a BAIXv2 index (session only "
-        "has a v1 BAIX)");
-  }
-  auto [first, last] = baix().query(region.ref_id, region.begin, region.end);
   std::vector<uint64_t> indices;
-  indices.reserve(last - first);
-  for (size_t e = first; e < last; ++e) {
-    indices.push_back(baix().entry(e).record_index);
+  if (has_baix2()) {
+    indices = baix2().query(region.ref_id, region.begin, region.end, mode,
+                            filter);
+  } else {
+    const bool default_filter = filter.min_mapq == 0 &&
+                                !filter.reverse_strand.has_value() &&
+                                filter.include_duplicates;
+    if (mode != baix2::RegionMode::kStartWithin || !default_filter) {
+      throw UsageError(
+          "overlap regions and filters require a BAIXv2 index (session only "
+          "has a v1 BAIX)");
+    }
+    auto [first, last] =
+        baix().query(region.ref_id, region.begin, region.end);
+    for (const bamx::BaixEntry& e : baix().entries(first, last)) {
+      indices.push_back(e.record_index);
+    }
+  }
+  // An entry past the source's records means a damaged or mismatched
+  // index: name the index file before any record is read.
+  const std::string& index_path =
+      has_baix2() ? options_.baix2_path : options_.baix_path;
+  for (uint64_t record : indices) {
+    if (record >= num_records()) {
+      throw FormatError("BAIX '" + index_path + "' points at record " +
+                        std::to_string(record) + ", but '" +
+                        options_.bamx_path + "' holds " +
+                        std::to_string(num_records()) + " records");
+    }
   }
   return indices;
 }

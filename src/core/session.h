@@ -1,24 +1,26 @@
 // ngsx/core/session.h
 //
 // Resident conversion sessions: the *setup* half of the BAMX converters —
-// open the record source, load the indexes, plan a region — split from the
+// open the record source, open the indexes, plan a region — split from the
 // *per-request* half (fetch + format + emit).
 //
 // convert_bamx() and convert_bamx_filtered() perform the whole setup on
-// every call: sniff and open the BAMX/BAMXM, load the BAIX(v2), then
-// convert. That is the right shape for a one-shot CLI conversion and the
-// wrong one for a resident service answering many region queries over the
-// same shard set — the open/load cost (dominated by the index) would be
-// paid per request. A ConversionSession is constructed once, holds the
-// open source and lazily-loaded indexes, and serves any number of
+// every call: sniff and open the BAMX/BAMXM, open the BAIX (v1: a header
+// read, then the O(log n) index pages a query's binary searches touch) or
+// load the BAIXv2, then convert. That is the right shape for a one-shot CLI
+// conversion. A resident service answering many region queries over the
+// same shard set would still pay the source open, the index pages and
+// (with v2) the whole index load on every request. A ConversionSession is
+// constructed once, holds the open source and lazily opened indexes —
+// the v1 reader keeps every page it has read — and serves any number of
 // plan/format calls; ngsx_serve shares one across all in-flight requests,
-// and the one-shot converters now build a throwaway session internally so
+// and the one-shot converters build a throwaway session internally so
 // both paths run the same code.
 //
 // Thread-safety: after construction every method is const and safe to call
 // concurrently from any number of threads. RecordSource reads are
-// positioned (no shared cursor), and each index is loaded exactly once
-// under std::call_once and immutable afterwards.
+// positioned (no shared cursor); each index is opened exactly once under
+// std::call_once, and the v1 reader publishes its cached pages atomically.
 
 #pragma once
 
@@ -68,9 +70,10 @@ class ConversionSession {
   bool has_baix() const { return !options_.baix_path.empty(); }
   bool has_baix2() const { return !options_.baix2_path.empty(); }
 
-  /// The v1 index, loaded on first call (throws UsageError when the
-  /// session was opened without a BAIX path).
-  const bamx::BaixIndex& baix() const;
+  /// The v1 index reader, opened on first call (throws UsageError when the
+  /// session was opened without a BAIX path). It reads index pages on
+  /// demand and keeps them, so a resident session stops reading the index.
+  const bamx::BaixReader& baix() const;
 
   /// The v2 index, loaded on first call (throws UsageError when the
   /// session was opened without a BAIXv2 path).
@@ -122,7 +125,7 @@ class ConversionSession {
   bamx::RecordSource source_;
   mutable std::once_flag baix_once_;
   mutable std::once_flag baix2_once_;
-  mutable std::optional<bamx::BaixIndex> baix_;
+  mutable std::optional<bamx::BaixReader> baix_;
   mutable std::optional<baix2::Baix2Index> baix2_;
 };
 

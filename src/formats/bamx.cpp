@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <ranges>
 
 #include "formats/bam.h"
 #include "formats/seqcodec.h"
@@ -571,48 +572,130 @@ void BaixIndex::save(const std::string& path) const {
   write_file(path, out);
 }
 
-BaixIndex BaixIndex::load(const std::string& path) {
-  std::string data = read_file(path);
-  ByteReader r(data);
-  if (r.read_bytes(5) != kBaixMagic) {
+// ---------------------------------------------------------------- BaixReader
+
+namespace {
+
+// BAIX v1 file header: magic, version, n_entries; 16-byte entries follow.
+constexpr uint64_t kBaixHeadBytes = 5 + 2 + 8;
+constexpr uint64_t kBaixEntryBytes = 16;
+constexpr size_t kBaixPageEntries = 256;  // one 4 KiB page
+
+}  // namespace
+
+BaixReader::BaixReader(const std::string& path) : file_(path) {
+  const std::string head = file_.read_at(0, kBaixHeadBytes);
+  if (!std::string_view(head).starts_with(kBaixMagic)) {
     throw FormatError("bad BAIX magic in '" + path + "'");
   }
-  uint16_t version = r.read<uint16_t>();
+  if (head.size() < kBaixHeadBytes) {
+    throw FormatError("BAIX header truncated in '" + path + "'");
+  }
+  ByteReader r(head);
+  r.skip(kBaixMagic.size());
+  const uint16_t version = r.read<uint16_t>();
   if (version != kVersion) {
     throw FormatError("unsupported BAIX version " + std::to_string(version));
   }
-  BaixIndex index;
-  uint64_t n = r.read<uint64_t>();
-  if (n > r.remaining() / 16) {  // 16 bytes per entry on disk
-    throw FormatError("BAIX entry count exceeds file size");
+  const uint64_t n = r.read<uint64_t>();
+  if (n > (file_.size() - kBaixHeadBytes) / kBaixEntryBytes) {
+    throw FormatError("BAIX entry count " + std::to_string(n) +
+                      " exceeds the size of '" + path + "'");
   }
-  index.entries_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    BaixEntry e;
-    e.ref_id = r.read<int32_t>();
-    e.pos = r.read<int32_t>();
-    e.record_index = r.read<uint64_t>();
-    index.entries_.push_back(e);
-  }
-  return index;
+  n_entries_ = static_cast<size_t>(n);
+  n_pages_ = (n_entries_ + kBaixPageEntries - 1) / kBaixPageEntries;
+  pages_ = std::make_unique<std::atomic<const BaixEntry*>[]>(n_pages_);
 }
 
-std::pair<size_t, size_t> BaixIndex::query(int32_t ref, int32_t beg,
-                                           int32_t end) const {
-  auto key_less = [](const BaixEntry& e, std::pair<int32_t, int32_t> key) {
-    uint32_t ue = static_cast<uint32_t>(e.ref_id);
-    uint32_t uk = static_cast<uint32_t>(key.first);
-    if (ue != uk) {
-      return ue < uk;
+BaixReader::~BaixReader() {
+  for (size_t k = 0; k < n_pages_; ++k) {
+    delete[] pages_[k].load(std::memory_order_relaxed);
+  }
+}
+
+const BaixEntry* BaixReader::page(size_t k) const {
+  const BaixEntry* p = pages_[k].load(std::memory_order_acquire);
+  if (p == nullptr) {
+    load_pages(k, k + 1);
+    p = pages_[k].load(std::memory_order_acquire);
+  }
+  return p;
+}
+
+void BaixReader::load_pages(size_t first, size_t last) const {
+  const size_t begin = first * kBaixPageEntries;
+  const size_t end = std::min(n_entries_, last * kBaixPageEntries);
+  std::string bytes((end - begin) * kBaixEntryBytes, '\0');
+  file_.pread_exact(bytes.data(), bytes.size(),
+                    kBaixHeadBytes + begin * kBaixEntryBytes);
+  for (size_t k = first; k < last; ++k) {
+    if (pages_[k].load(std::memory_order_acquire) != nullptr) {
+      continue;
     }
-    return e.pos < key.second;
+    const size_t lo = k * kBaixPageEntries;
+    const size_t hi = std::min(n_entries_, lo + kBaixPageEntries);
+    auto decoded = std::make_unique<BaixEntry[]>(hi - lo);
+    for (size_t i = lo; i < hi; ++i) {
+      const size_t at = (i - begin) * kBaixEntryBytes;
+      decoded[i - lo] = BaixEntry{binio::get_le<int32_t>(bytes, at),
+                                  binio::get_le<int32_t>(bytes, at + 4),
+                                  binio::get_le<uint64_t>(bytes, at + 8)};
+    }
+    const BaixEntry* expected = nullptr;
+    if (pages_[k].compare_exchange_strong(expected, decoded.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      decoded.release();  // owned by pages_ now
+    }
+  }
+}
+
+BaixEntry BaixReader::entry(size_t i) const {
+  NGSX_CHECK(i < n_entries_);
+  return page(i / kBaixPageEntries)[i % kBaixPageEntries];
+}
+
+std::vector<BaixEntry> BaixReader::entries(size_t first, size_t last) const {
+  std::vector<BaixEntry> out;
+  if (first >= last) {
+    return out;
+  }
+  NGSX_CHECK(last <= n_entries_);
+  // One read spans every missing page of the answer.
+  const size_t page_lo = first / kBaixPageEntries;
+  const size_t page_hi = (last - 1) / kBaixPageEntries + 1;
+  size_t miss_lo = page_hi;
+  size_t miss_hi = page_lo;
+  for (size_t k = page_lo; k < page_hi; ++k) {
+    if (pages_[k].load(std::memory_order_acquire) == nullptr) {
+      miss_lo = std::min(miss_lo, k);
+      miss_hi = k + 1;
+    }
+  }
+  if (miss_lo < miss_hi) {
+    load_pages(miss_lo, miss_hi);
+  }
+  out.reserve(last - first);
+  for (size_t i = first; i < last;) {
+    const size_t k = i / kBaixPageEntries;
+    const size_t take = std::min(last, (k + 1) * kBaixPageEntries) - i;
+    const BaixEntry* from = page(k) + i % kBaixPageEntries;
+    out.insert(out.end(), from, from + take);
+    i += take;
+  }
+  return out;
+}
+
+std::pair<size_t, size_t> BaixReader::query(int32_t ref, int32_t beg,
+                                            int32_t end) const {
+  const auto ids = std::views::iota(size_t{0}, n_entries_);
+  auto lower_bound = [&](int32_t pos) {
+    const BaixEntry key{ref, pos, 0};
+    auto it = std::ranges::partition_point(
+        ids, [&](size_t i) { return baix_entry_less(entry(i), key); });
+    return static_cast<size_t>(it - ids.begin());
   };
-  auto lo = std::lower_bound(entries_.begin(), entries_.end(),
-                             std::make_pair(ref, beg), key_less);
-  auto hi = std::lower_bound(entries_.begin(), entries_.end(),
-                             std::make_pair(ref, end), key_less);
-  return {static_cast<size_t>(lo - entries_.begin()),
-          static_cast<size_t>(hi - entries_.begin())};
+  return {lower_bound(beg), lower_bound(end)};
 }
 
 }  // namespace ngsx::bamx

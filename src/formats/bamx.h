@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -216,9 +217,9 @@ struct BaixEntry {
 /// builders can merge pre-sorted runs under exactly this order.
 bool baix_entry_less(const BaixEntry& a, const BaixEntry& b);
 
-/// The BAIX index: entries sorted by (ref_id, pos). Region queries return
-/// the range of entries whose alignment *starts* inside the region, which
-/// is the paper's partial-conversion semantics.
+/// The BAIX index as built in memory: entries sorted by (ref_id, pos). The
+/// preprocessor builds and saves it; region queries read the saved file
+/// through BaixReader instead of loading it.
 class BaixIndex {
  public:
   BaixIndex() = default;
@@ -235,20 +236,63 @@ class BaixIndex {
   static BaixIndex from_sorted_entries(std::vector<BaixEntry> entries);
 
   void save(const std::string& path) const;
-  static BaixIndex load(const std::string& path);
 
   size_t size() const { return entries_.size(); }
   const BaixEntry& entry(size_t i) const { return entries_[i]; }
   const std::vector<BaixEntry>& entries() const { return entries_; }
 
-  /// [first, last) entry indices with ref_id == ref and pos in [beg, end),
-  /// found by binary search (the paper's partial-conversion lookup).
-  std::pair<size_t, size_t> query(int32_t ref, int32_t beg, int32_t end) const;
-
   bool operator==(const BaixIndex&) const = default;
 
  private:
   std::vector<BaixEntry> entries_;
+};
+
+/// A saved BAIX v1 file, searched where it lies (the paper's
+/// partial-conversion lookup): a region query is two binary searches over
+/// the fixed 16-byte entries, which are read through a cache of 4 KiB pages
+/// (256 entries each). A cold query reads the O(log n) pages its searches
+/// touch plus the answer's pages; a long-lived reader ends up with every
+/// page it needs cached and does no index I/O at all.
+///
+/// The constructor checks the magic, the version and that `n_entries`
+/// fits the file, before anything is sized from it (FormatError
+/// otherwise). Thread-safety: every method is const and safe to call
+/// concurrently; each page is read once with pread_exact and published
+/// with one atomic compare-exchange, so racing readers of a missing page
+/// both read it and one copy wins.
+class BaixReader {
+ public:
+  explicit BaixReader(const std::string& path);
+  ~BaixReader();
+
+  BaixReader(const BaixReader&) = delete;
+  BaixReader& operator=(const BaixReader&) = delete;
+
+  size_t size() const { return n_entries_; }
+
+  /// Entry `i` (< size()).
+  BaixEntry entry(size_t i) const;
+
+  /// Entries [first, last) (last <= size()), in index order; the pages not
+  /// cached yet are read with one positioned read.
+  std::vector<BaixEntry> entries(size_t first, size_t last) const;
+
+  /// [first, last) entry indices with ref_id == ref and pos in [beg, end):
+  /// two lower bounds under baix_entry_less.
+  std::pair<size_t, size_t> query(int32_t ref, int32_t beg, int32_t end) const;
+
+ private:
+  /// The cached page `k`, reading it first if needed.
+  const BaixEntry* page(size_t k) const;
+
+  /// Reads pages [first, last) with one positioned read and publishes each
+  /// one that is still missing.
+  void load_pages(size_t first, size_t last) const;
+
+  InputFile file_;
+  size_t n_entries_ = 0;
+  size_t n_pages_ = 0;
+  std::unique_ptr<std::atomic<const BaixEntry*>[]> pages_;
 };
 
 }  // namespace ngsx::bamx

@@ -177,13 +177,14 @@ TEST(Baix2, StartWithinParityWithBaixV1) {
   // extra records v2's kOverlap returns are precisely the straddlers v1
   // cannot see.
   Fixture f;
-  bamx::BaixIndex v1 = testutil::baix_of(f.records);
+  bamx::BaixReader v1 =
+      testutil::saved_baix_of(f.records, f.tmp.file("d.baix"));
   for (auto [beg, end] : std::vector<std::pair<int32_t, int32_t>>{
            {0, 500000}, {10000, 60000}, {0, 1}, {250000, 250000}}) {
     auto [first, last] = v1.query(0, beg, end);
     std::vector<uint64_t> v1_records;
-    for (size_t i = first; i < last; ++i) {
-      v1_records.push_back(v1.entry(i).record_index);
+    for (const bamx::BaixEntry& e : v1.entries(first, last)) {
+      v1_records.push_back(e.record_index);
     }
     std::sort(v1_records.begin(), v1_records.end());
     EXPECT_EQ(v1_records, f.index.query(0, beg, end,
@@ -207,7 +208,8 @@ TEST(Baix2, OverlapIsStrictSupersetOnStraddledWindow) {
   ASSERT_NE(straddler, nullptr);
   const int32_t beg = straddler->pos + 1;
   const int32_t end = straddler->pos + 2;
-  bamx::BaixIndex v1 = testutil::baix_of(f.records);
+  bamx::BaixReader v1 =
+      testutil::saved_baix_of(f.records, f.tmp.file("d.baix"));
   auto [first, last] = v1.query(0, beg, end);
   auto start_within = f.index.query(0, beg, end, RegionMode::kStartWithin);
   auto overlap = f.index.query(0, beg, end, RegionMode::kOverlap);

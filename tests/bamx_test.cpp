@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <tuple>
 
 #include "formats/bamx.h"
 #include "simdata/readsim.h"
 #include "testutil.h"
+#include "util/rng.h"
 #include "util/tempdir.h"
 
 namespace ngsx::bamx {
@@ -392,7 +395,8 @@ TEST(Baix, BuildSortsByRefThenPos) {
 
 TEST(Baix, QueryMatchesLinearFilter) {
   FileFixture f;
-  BaixIndex index = testutil::baix_of(f.records);
+  BaixReader index =
+      testutil::saved_baix_of(f.records, f.tmp.file("q.baix"));
   for (auto [ref, beg, end] : std::vector<std::tuple<int, int, int>>{
            {0, 0, 5000}, {0, 3000, 9000}, {1, 0, 100000}, {0, 0, 1}}) {
     auto [lo, hi] = index.query(ref, beg, end);
@@ -404,10 +408,10 @@ TEST(Baix, QueryMatchesLinearFilter) {
     }
     EXPECT_EQ(hi - lo, expect) << "region " << ref << ":" << beg << "-"
                                << end;
-    for (size_t e = lo; e < hi; ++e) {
-      EXPECT_EQ(index.entry(e).ref_id, ref);
-      EXPECT_GE(index.entry(e).pos, beg);
-      EXPECT_LT(index.entry(e).pos, end);
+    for (const BaixEntry& e : index.entries(lo, hi)) {
+      EXPECT_EQ(e.ref_id, ref);
+      EXPECT_GE(e.pos, beg);
+      EXPECT_LT(e.pos, end);
     }
   }
 }
@@ -415,13 +419,14 @@ TEST(Baix, QueryMatchesLinearFilter) {
 TEST(Baix, EntriesPointToCorrectRecords) {
   FileFixture f;
   RecordSource r(f.path);
-  BaixIndex index = testutil::baix_of(f.records);
+  BaixReader index =
+      testutil::saved_baix_of(f.records, f.tmp.file("p.baix"));
   AlignmentRecord rec;
   auto [lo, hi] = index.query(0, 0, 2000);
-  for (size_t e = lo; e < hi; ++e) {
-    r.read(index.entry(e).record_index, rec);
-    EXPECT_EQ(rec.pos, index.entry(e).pos);
-    EXPECT_EQ(rec.ref_id, index.entry(e).ref_id);
+  for (const BaixEntry& e : index.entries(lo, hi)) {
+    r.read(e.record_index, rec);
+    EXPECT_EQ(rec.pos, e.pos);
+    EXPECT_EQ(rec.ref_id, e.ref_id);
   }
 }
 
@@ -430,25 +435,60 @@ TEST(Baix, SaveLoadRoundTrip) {
   BaixIndex index = testutil::baix_of(f.records);
   std::string path = f.tmp.file("t.baix");
   index.save(path);
-  EXPECT_EQ(BaixIndex::load(path), index);
+  BaixReader reader(path);
+  ASSERT_EQ(reader.size(), index.size());
+  EXPECT_EQ(reader.entries(0, reader.size()), index.entries());
+  BaixReader fresh(path);  // entry by entry, from a cold cache
+  for (size_t i = 0; i < index.size(); ++i) {
+    EXPECT_EQ(fresh.entry(i), index.entry(i)) << i;
+  }
 }
 
 TEST(Baix, LoadBadMagicThrows) {
   TempDir tmp;
   std::string path = tmp.file("bad.baix");
   write_file(path, "XXXXXXXXXXXXXXXXX");
-  EXPECT_THROW(BaixIndex::load(path), FormatError);
+  EXPECT_THROW(BaixReader reader(path), FormatError);
 }
 
 TEST(Baix, HugeEntryCountRejected) {
   // 2^60 entries of 16 bytes wrap the byte count to 0; the size check must
-  // still fail, as a FormatError, before anything is reserved.
+  // still fail, as a FormatError, before anything is sized from it.
   TempDir tmp;
   BaixIndex().save(tmp.file("empty.baix"));
   std::string data = read_file(tmp.file("empty.baix"));
   binio::poke_le<uint64_t>(data, data.size() - 8, uint64_t{1} << 60);
   write_file(tmp.file("huge.baix"), data + std::string(32, '\0'));
-  EXPECT_THROW(BaixIndex::load(tmp.file("huge.baix")), FormatError);
+  EXPECT_THROW(BaixReader reader(tmp.file("huge.baix")), FormatError);
+}
+
+TEST(Baix, EntryCountBoundIsExact) {
+  // Two entries' worth of bytes plus a partial one: a count of 2 opens, 3
+  // does not.
+  TempDir tmp;
+  BaixIndex::from_entries({{0, 5, 0}, {0, 9, 1}}).save(tmp.file("two.baix"));
+  const std::string data = read_file(tmp.file("two.baix")) + "partial";
+  write_file(tmp.file("ok.baix"), data);
+  EXPECT_EQ(BaixReader(tmp.file("ok.baix")).size(), 2u);
+  std::string over = data;
+  binio::poke_le<uint64_t>(over, 7, 3);
+  write_file(tmp.file("over.baix"), over);
+  EXPECT_THROW(BaixReader reader(tmp.file("over.baix")), FormatError);
+}
+
+TEST(Baix, TruncatedHeaderAndBadVersionRejected) {
+  TempDir tmp;
+  BaixIndex().save(tmp.file("empty.baix"));
+  const std::string data = read_file(tmp.file("empty.baix"));
+  for (size_t keep : {0, 4, 5, 7, 14}) {
+    write_file(tmp.file("short.baix"), data.substr(0, keep));
+    EXPECT_THROW(BaixReader reader(tmp.file("short.baix")), FormatError)
+        << keep << " bytes";
+  }
+  std::string v2 = data;
+  binio::poke_le<uint16_t>(v2, 5, 2);
+  write_file(tmp.file("v2.baix"), v2);
+  EXPECT_THROW(BaixReader reader(tmp.file("v2.baix")), FormatError);
 }
 
 TEST(Baix, UnmappedSortLast) {
@@ -462,9 +502,154 @@ TEST(Baix, UnmappedSortLast) {
 }
 
 TEST(Baix, EmptyQuery) {
-  BaixIndex index;
+  TempDir tmp;
+  BaixIndex().save(tmp.file("empty.baix"));
+  BaixReader index(tmp.file("empty.baix"));
   auto [lo, hi] = index.query(0, 0, 100);
-  EXPECT_EQ(lo, hi);
+  EXPECT_EQ(lo, 0u);
+  EXPECT_EQ(hi, 0u);
+  EXPECT_TRUE(index.entries(lo, hi).empty());
+}
+
+// ---------------------------------------------- BaixReader against an oracle
+
+/// The answer BaixReader::query must give: std::lower_bound over the
+/// entries in memory.
+std::pair<size_t, size_t> oracle_query(const std::vector<BaixEntry>& entries,
+                                       int32_t ref, int32_t beg, int32_t end) {
+  auto at = [&](int32_t pos) {
+    return static_cast<size_t>(
+        std::lower_bound(entries.begin(), entries.end(),
+                         BaixEntry{ref, pos, 0}, baix_entry_less) -
+        entries.begin());
+  };
+  return {at(beg), at(end)};
+}
+
+/// `n` random entries over refs {-1, 0, 1, 2} and positions [0, 300), so
+/// positions repeat and unmapped entries sort last.
+BaixIndex random_baix(Rng& rng, size_t n) {
+  std::vector<BaixEntry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t ref = static_cast<int32_t>(rng.below(4)) - 1;
+    const int32_t pos = ref < 0 ? -1 : static_cast<int32_t>(rng.below(300));
+    entries.push_back(BaixEntry{ref, pos, i});
+  }
+  return BaixIndex::from_entries(std::move(entries));
+}
+
+/// Regions that hit every edge of `index`: random ones, one before the
+/// first entry, one after the last, and ones bounded by the entries on
+/// each side of the first page edges (255, 256, 257, 511, 512, 513).
+std::vector<std::tuple<int32_t, int32_t, int32_t>> edge_regions(
+    Rng& rng, const BaixIndex& index) {
+  std::vector<std::tuple<int32_t, int32_t, int32_t>> regions = {
+      {0, -100, -1}, {2, 300, 1 << 30}, {3, 0, 100}, {-1, -1, 0},
+      {-1, -5, 5},   {0, 0, 1 << 30},   {1, 50, 10}};
+  for (int i = 0; i < 40; ++i) {
+    const int32_t ref = static_cast<int32_t>(rng.below(5)) - 1;
+    const int32_t beg = static_cast<int32_t>(rng.below(320)) - 10;
+    regions.emplace_back(ref, beg,
+                         beg + static_cast<int32_t>(rng.below(120)));
+  }
+  for (size_t e : {255, 256, 257, 511, 512, 513}) {
+    if (e < index.size()) {
+      const BaixEntry& at = index.entry(e);
+      regions.emplace_back(at.ref_id, at.pos, at.pos + 1);
+      regions.emplace_back(at.ref_id, at.pos - 3, at.pos);
+      if (e > 0 && index.entry(e - 1).ref_id == at.ref_id) {
+        regions.emplace_back(at.ref_id, index.entry(e - 1).pos, at.pos + 2);
+      }
+    }
+  }
+  return regions;
+}
+
+TEST(BaixReader, MatchesLowerBoundOracle) {
+  TempDir tmp;
+  Rng rng(24);
+  for (size_t n : {0, 1, 2, 255, 256, 257, 511, 512, 513, 1000, 3000}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const BaixIndex index = random_baix(rng, n);
+    const std::string path = tmp.file("r" + std::to_string(n) + ".baix");
+    index.save(path);
+    BaixReader warm(path);  // one reader for every region: pages pile up
+    for (auto [ref, beg, end] : edge_regions(rng, index)) {
+      SCOPED_TRACE("region " + std::to_string(ref) + ":" +
+                   std::to_string(beg) + "-" + std::to_string(end));
+      const auto expect = oracle_query(index.entries(), ref, beg, end);
+      BaixReader cold(path);
+      EXPECT_EQ(cold.query(ref, beg, end), expect);
+      EXPECT_EQ(warm.query(ref, beg, end), expect);
+      if (expect.first < expect.second) {
+        const std::vector<BaixEntry> answer(
+            index.entries().begin() + static_cast<ptrdiff_t>(expect.first),
+            index.entries().begin() + static_cast<ptrdiff_t>(expect.second));
+        EXPECT_EQ(cold.entries(expect.first, expect.second), answer);
+        EXPECT_EQ(BaixReader(path).entries(expect.first, expect.second),
+                  answer);
+        EXPECT_EQ(warm.entries(expect.first, expect.second), answer);
+      }
+    }
+    EXPECT_EQ(warm.entries(0, n), index.entries());
+  }
+}
+
+TEST(BaixReader, AnswerAcrossCachedAndMissingPages) {
+  // Pages 1 and 3 cached, 0, 2 and 4 missing: one read fills 0..4 and the
+  // cached pages keep their entries.
+  TempDir tmp;
+  Rng rng(5);
+  const BaixIndex index = random_baix(rng, 1200);
+  index.save(tmp.file("m.baix"));
+  BaixReader reader(tmp.file("m.baix"));
+  EXPECT_EQ(reader.entry(300), index.entry(300));
+  EXPECT_EQ(reader.entry(800), index.entry(800));
+  const std::vector<BaixEntry> answer(index.entries().begin() + 10,
+                                      index.entries().begin() + 1100);
+  EXPECT_EQ(reader.entries(10, 1100), answer);
+  EXPECT_EQ(reader.entries(0, 1200), index.entries());
+}
+
+TEST(BaixReader, ConcurrentQueriesOnOneReader) {
+  // Eight threads race on one cold reader: every page is read by whoever
+  // needs it first and published once; every answer matches the oracle.
+  TempDir tmp;
+  Rng rng(88);
+  const BaixIndex index = random_baix(rng, 5000);
+  index.save(tmp.file("c.baix"));
+  std::vector<std::tuple<int32_t, int32_t, int32_t>> regions =
+      edge_regions(rng, index);
+  BaixReader reader(tmp.file("c.baix"));
+  std::vector<int> mismatches(8, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 4; ++round) {
+        for (size_t k = 0; k < regions.size(); ++k) {
+          auto [ref, beg, end] = regions[(k * 7 + static_cast<size_t>(t)) %
+                                         regions.size()];
+          const auto expect = oracle_query(index.entries(), ref, beg, end);
+          const auto got = reader.query(ref, beg, end);
+          if (got != expect) {
+            ++mismatches[static_cast<size_t>(t)];
+            continue;
+          }
+          const auto entries = reader.entries(got.first, got.second);
+          for (size_t e = got.first; e < got.second; ++e) {
+            if (entries[e - got.first] != index.entry(e)) {
+              ++mismatches[static_cast<size_t>(t)];
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(mismatches, std::vector<int>(8, 0));
+  EXPECT_EQ(reader.entries(0, index.size()), index.entries());
 }
 
 }  // namespace

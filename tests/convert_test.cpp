@@ -203,7 +203,7 @@ TEST(BamConverter, PreprocessProducesFaithfulBamx) {
     EXPECT_EQ(rec, d.records[i]) << "record " << i;
   }
   // BAIX covers every record.
-  EXPECT_EQ(bamx::BaixIndex::load(baix).size(), d.records.size());
+  EXPECT_EQ(bamx::BaixReader(baix).size(), d.records.size());
 }
 
 class BamConvertRanks : public ::testing::TestWithParam<int> {};
@@ -369,7 +369,7 @@ TEST(PreprocSamConverter, ShardBaixSupportsPartial) {
   const std::string baix = d.tmp.file("s.baix");
   preprocess_sam_parallel(d.sam_path, manifest, baix, 2);
   // One merged BAIX indexes the records of every shard...
-  EXPECT_EQ(bamx::BaixIndex::load(baix).size(), d.records.size());
+  EXPECT_EQ(bamx::BaixReader(baix).size(), d.records.size());
   // ...and drives partial conversion over the manifest.
   Region region = parse_region("chr1:1-100000", d.genome.header());
   ConvertOptions options;

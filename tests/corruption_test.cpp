@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/convert.h"
 #include "formats/bam.h"
 #include "formats/bamx.h"
 #include "formats/sam.h"
@@ -215,8 +216,9 @@ TEST_P(CorruptionSeeds, BaixFlipsNeverCrash) {
   std::string path = corrupt_copy(c.baix_path, GetParam() + 500, 2,
                                   c.tmp.file("x.baix"));
   try {
-    auto index = bamx::BaixIndex::load(path);
-    index.query(0, 0, 100000);
+    bamx::BaixReader index(path);
+    auto [first, last] = index.query(0, 0, 100000);
+    index.entries(first, last);
   } catch (const Error&) {
   }
 }
@@ -360,6 +362,33 @@ TEST(AtomicCommit, EnospcMidStreamRollsBackCompressedWriters) {
   expect_no_staging_leak(tmp.path());
 }
 
+TEST(Corruption, BaixRecordIndexPastTheBamxIsAFormatError) {
+  // Entry 0 of an otherwise valid BAIX points at record 2^63 - 1: the
+  // region plan must reject it as a FormatError naming the index, before
+  // any record read or part file.
+  Corpus& c = corpus();
+  TempDir tmp;
+  const bamx::BaixEntry first = bamx::BaixReader(c.baix_path).entry(0);
+  std::string data = read_file(c.baix_path);
+  binio::poke_le<uint64_t>(data, 15 + 8, (uint64_t{1} << 63) - 1);
+  const std::string path = tmp.file("far.baix");
+  write_file(path, data);
+  core::ConvertOptions opt;
+  opt.format = core::TargetFormat::kSam;
+  opt.ranks = 2;
+  const std::string dir = tmp.subdir("out");
+  try {
+    core::convert_bamx(c.bamx_path, path, dir, opt,
+                       core::Region{first.ref_id, first.pos, first.pos + 1});
+    FAIL() << "a record index past the BAMX was accepted";
+  } catch (const FormatError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("9223372036854775807"), std::string::npos) << msg;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
 TEST(Corruption, TotallyRandomBytesRejectedEverywhere) {
   TempDir tmp;
   Rng rng(9);
@@ -371,7 +400,7 @@ TEST(Corruption, TotallyRandomBytesRejectedEverywhere) {
   write_file(path, noise);
   EXPECT_THROW(bam::BamFileReader r(path), Error);
   EXPECT_THROW(bamx::RecordSource r(path), Error);
-  EXPECT_THROW(bamx::BaixIndex::load(path), Error);
+  EXPECT_THROW(bamx::BaixReader r(path), Error);
 }
 
 }  // namespace

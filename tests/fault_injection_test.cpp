@@ -400,6 +400,52 @@ TEST_P(FaultMatrix, ConvertBamxSurvivesEveryFaultClass) {
   }
 }
 
+TEST(BaixPageFaults, ShortReadOrEioOnAPageReadPublishesNoPart) {
+  // A region conversion reads BAIX pages while it plans, before any part
+  // file exists: a damaged page read must surface as IoError and leave the
+  // output directory empty, and the same call succeeds once it clears.
+  Dataset& d = dataset();
+  TempDir tmp("faultbaix");
+  const std::string bamx = tmp.file("x.bamx");
+  const std::string baix = tmp.file("x.baix");
+  testutil::reference_preprocess(d.bam_path, bamx, baix);
+  ConvertOptions opt;
+  opt.format = TargetFormat::kSam;
+  opt.ranks = 2;
+  const core::Region region{0, 0, 1 << 30};
+  const std::string clean_dir = tmp.subdir("clean");
+  ASSERT_GT(core::convert_bamx(bamx, baix, clean_dir, opt, region).records_in,
+            0u);
+  const auto clean = snapshot(clean_dir);
+
+  // Read 0 is the 15-byte header; a short read of 16 bytes spares it and
+  // cuts every page read, and EIO at read 1 hits the first page read.
+  const std::vector<FaultCase> cases = {
+      {"page-short-read",
+       make_fault(io::Op::kRead, io::FaultKind::kShortRead, 16), "short read"},
+      {"page-eio", make_fault(io::Op::kRead, io::FaultKind::kError, 1),
+       "[injected fault]"}};
+  int i = 0;
+  for (const FaultCase& fc : cases) {
+    SCOPED_TRACE(fc.name);
+    const std::string dir = tmp.subdir("f" + std::to_string(i++));
+    {
+      FaultScope scope("x.baix", fc.fault);
+      try {
+        core::convert_bamx(bamx, baix, dir, opt, region);
+        ADD_FAILURE() << "conversion succeeded despite a faulted page read";
+      } catch (const IoError& e) {
+        EXPECT_NE(std::string(e.what()).find(fc.expect), std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_TRUE(snapshot(dir).empty());
+    expect_no_temp_leaks(dir);
+    core::convert_bamx(bamx, baix, dir, opt, region);
+    expect_identical(snapshot(dir), clean);
+  }
+}
+
 TEST_P(FaultMatrix, ConvertBamSequentialSurvivesEveryFaultClass) {
   Dataset& d = dataset();
   TempDir tmp("faultseq");

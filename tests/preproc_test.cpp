@@ -233,8 +233,7 @@ TEST(PreprocessParallel, EmptyBamYieldsEmptyManifest) {
   EXPECT_EQ(stats.records, 0u);
   bamx::RecordSource reader(tmp.file("e.bamxm"));
   EXPECT_EQ(reader.num_records(), 0u);
-  bamx::BaixIndex baix = bamx::BaixIndex::load(tmp.file("e.baix"));
-  EXPECT_EQ(baix.size(), 0u);
+  EXPECT_EQ(bamx::BaixReader(tmp.file("e.baix")).size(), 0u);
 }
 
 // ------------------------------------------------------ manifest validation

@@ -32,6 +32,15 @@ inline bamx::BaixIndex baix_of(
   return bamx::BaixIndex::from_entries(std::move(entries));
 }
 
+/// Saves baix_of(records) to `path` and opens it with the reader region
+/// queries use.
+inline bamx::BaixReader saved_baix_of(
+    const std::vector<sam::AlignmentRecord>& records,
+    const std::string& path) {
+  baix_of(records).save(path);
+  return bamx::BaixReader(path);
+}
+
 /// Reference BAM -> BAMX + BAIX: read every record, measure the layout,
 /// then encode directly into one monolithic BAMX and index it with
 /// baix_of. Independent of the preprocessing pipeline, so
