@@ -2,8 +2,7 @@
 // source and the BAIX, read the index pages the query's binary searches
 // touch, per request: what each `ngsx_convert --region` invocation pays)
 // vs the warm resident path (one ConversionSession held open by
-// ngsx_serve, its index pages cached, shared scheduler, hot blocks in the
-// LRU cache).
+// ngsx_serve, its index pages cached, shared scheduler).
 //
 // The paper removes sequential bottlenecks *within* one conversion; a
 // region-query workload (genome browser, pileup service) adds an
@@ -12,12 +11,16 @@
 // latency, so the resident session should win by a wide margin (the
 // acceptance bar is >= 5x).
 //
-// Emits BENCH_serve.json (path configurable with --json):
+// Every request is timed on its own. Emits BENCH_serve.json (path
+// configurable with --json):
 //
 //   "cold_us":  mean per-request microseconds, fresh session per request
 //   "warm_us":  mean per-request microseconds through Server::handle_line
-//               (protocol parse + scheduler + block cache included)
+//               (protocol parse + scheduler + fetch + format included)
 //   "speedup":  cold_us / warm_us
+//   "cold_p25_us" / "cold_p50_us" / "cold_p75_us", and the same for
+//   "warm_": quartiles of the per-request times, so a difference between
+//   two builds can be read against the spread of either
 //
 // Usage: bench_serve [--pairs N] [--cold-requests N] [--warm-requests N]
 //                    [--window BP] [--json PATH]
@@ -25,6 +28,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/convert.h"
@@ -43,6 +47,30 @@ using namespace ngsx;
 
 namespace {
 
+/// Quartiles of per-request times (nearest rank over the sorted samples).
+struct Quartiles {
+  double p25 = 0.0;
+  double p50 = 0.0;
+  double p75 = 0.0;
+};
+
+double mean(const std::vector<double>& samples) {
+  double total = 0.0;
+  for (double v : samples) {
+    total += v;
+  }
+  return total / static_cast<double>(samples.size());
+}
+
+Quartiles quartiles(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto at = [&](double q) {
+    return samples[static_cast<size_t>(
+        q * static_cast<double>(samples.size() - 1) + 0.5)];
+  };
+  return Quartiles{at(0.25), at(0.5), at(0.75)};
+}
+
 /// Deterministic region sequence over the first reference (no
 /// std::mt19937 so the request stream is identical across runs).
 std::string region_text(const sam::SamHeader& header, uint64_t i,
@@ -59,9 +87,10 @@ std::string region_text(const sam::SamHeader& header, uint64_t i,
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const uint64_t pairs = static_cast<uint64_t>(args.get_int("pairs", 20000));
-  const int cold_requests = static_cast<int>(args.get_int("cold-requests", 40));
-  const int warm_requests =
-      static_cast<int>(args.get_int("warm-requests", 400));
+  const int cold_requests = std::max<int>(
+      1, static_cast<int>(args.get_int("cold-requests", 40)));
+  const int warm_requests = std::max<int>(
+      1, static_cast<int>(args.get_int("warm-requests", 400)));
   // Browser-viewport-sized regions: the regime where per-request setup
   // (not record formatting) dominates cold latency.
   const int64_t window = args.get_int("window", 3000);
@@ -102,7 +131,7 @@ int main(int argc, char** argv) {
   // search the index pages, plan, fetch, format — then throw it all away. (A real ngsx_convert
   // additionally pays process spawn, so this is a conservative floor.)
   uint64_t planned_records = 0;
-  double cold_total_s = 0.0;
+  std::vector<double> cold_samples_us;
   for (int i = 0; i < cold_requests; ++i) {
     WallTimer timer;
     core::ConversionSession session(sopt);
@@ -113,25 +142,25 @@ int main(int argc, char** argv) {
     std::string payload;
     session.format_records(plan, core::TargetFormat::kSam,
                            /*include_header=*/true, payload);
-    cold_total_s += timer.seconds();
+    cold_samples_us.push_back(timer.seconds() * 1e6);
     planned_records += plan.size();
   }
-  const double cold_us = cold_total_s / cold_requests * 1e6;
+  const double cold_us = mean(cold_samples_us);
+  const Quartiles cold_q = quartiles(cold_samples_us);
   std::printf("cold one-shot: %d requests, %.0f us/request "
-              "(%.1f records/request)\n",
+              "(%.1f records/request); median %.0f us (quartiles %.0f-%.0f)\n",
               cold_requests, cold_us,
-              static_cast<double>(planned_records) / cold_requests);
+              static_cast<double>(planned_records) / cold_requests, cold_q.p50,
+              cold_q.p25, cold_q.p75);
 
   // ------------------------------------------------------------------ warm
   // The resident path, end to end: protocol parse, scheduler admission,
-  // consumer execution on the shared pool, block cache. One untimed
-  // request warms the index and the cache the way a long-lived daemon is
-  // warm in steady state.
+  // consumer execution on the shared pool, fetch and format. One untimed
+  // request warms the index pages the way a long-lived daemon is warm in
+  // steady state.
   core::ConversionSession session(sopt);
   exec::Pool pool(2);
-  serve::ServerOptions options;
-  options.cache_bytes = 64ull << 20;
-  serve::Server server(session, pool, options);
+  serve::Server server(session, pool);
   {
     const std::string response = server.handle_line(
         "CONVERT " + region_text(session.header(), 0, window) + " sam");
@@ -140,26 +169,27 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  double warm_total_s = 0.0;
-  {
+  std::vector<double> warm_samples_us;
+  for (int i = 0; i < warm_requests; ++i) {
+    const std::string line =
+        "CONVERT " +
+        region_text(session.header(), static_cast<uint64_t>(i), window) +
+        " sam";
     WallTimer timer;
-    for (int i = 0; i < warm_requests; ++i) {
-      const std::string response = server.handle_line(
-          "CONVERT " +
-          region_text(session.header(), static_cast<uint64_t>(i), window) +
-          " sam");
-      if (response.rfind("OK ", 0) != 0) {
-        std::fprintf(stderr, "FATAL: request %d failed: %s", i,
-                     response.c_str());
-        return 1;
-      }
+    const std::string response = server.handle_line(line);
+    warm_samples_us.push_back(timer.seconds() * 1e6);
+    if (response.rfind("OK ", 0) != 0) {
+      std::fprintf(stderr, "FATAL: request %d failed: %s", i,
+                   response.c_str());
+      return 1;
     }
-    warm_total_s = timer.seconds();
   }
-  const double warm_us = warm_total_s / warm_requests * 1e6;
+  const double warm_us = mean(warm_samples_us);
+  const Quartiles warm_q = quartiles(warm_samples_us);
   const double speedup = cold_us / warm_us;
-  std::printf("warm resident: %d requests, %.0f us/request\n", warm_requests,
-              warm_us);
+  std::printf("warm resident: %d requests, %.0f us/request; median %.0f us "
+              "(quartiles %.0f-%.0f)\n",
+              warm_requests, warm_us, warm_q.p50, warm_q.p25, warm_q.p75);
   std::printf("resident speedup: %.1fx (acceptance bar: >= 5x)\n", speedup);
 
   // ----------------------------------------------------------------- JSON
@@ -178,8 +208,15 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"cold_us\": %.1f,\n", cold_us);
   std::fprintf(f, "  \"warm_us\": %.1f,\n", warm_us);
   std::fprintf(f, "  \"speedup\": %.2f,\n", speedup);
-  // serve.requests / serve.cache.{hits,misses} / serve.request_us for the
-  // warm run live in the embedded snapshot (docs/OBSERVABILITY.md).
+  for (const auto& [name, q] :
+       {std::pair<const char*, Quartiles>{"cold", cold_q}, {"warm", warm_q}}) {
+    std::fprintf(f,
+                 "  \"%s_p25_us\": %.1f,\n  \"%s_p50_us\": %.1f,\n"
+                 "  \"%s_p75_us\": %.1f,\n",
+                 name, q.p25, name, q.p50, name, q.p75);
+  }
+  // serve.requests / serve.request_us for the warm run live in the
+  // embedded snapshot (docs/OBSERVABILITY.md).
   std::fprintf(f, "  \"obs\": %s\n}\n", obs::metrics_json().c_str());
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());

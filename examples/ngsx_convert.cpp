@@ -2,13 +2,13 @@
 // roughly what a downstream user would install. Exposes all three
 // converter instances (§III) behind one interface.
 //
-// Usage:
+// Usage (each command is one line):
 //   ngsx_convert --in data.sam --to bed --out outdir --ranks 8
 //   ngsx_convert --in data.bam --to fastq --out outdir --ranks 8
 //   ngsx_convert --in data.bam --to sam --out outdir --region chr1:1-50000
 //   ngsx_convert --in data.sam --to fasta --out outdir --preprocess --m 4
-//   ngsx_convert --in data.bam --to sam --out outdir \
-//       --metrics metrics.json --trace trace.json
+//   ngsx_convert --in data.bam --to sam --out outdir
+//                --metrics metrics.json --trace trace.json
 //
 // For SAM input, --preprocess selects the preprocessing-optimized
 // converter (III-C, M preprocessing ranks + N conversion ranks); otherwise

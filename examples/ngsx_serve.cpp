@@ -5,20 +5,23 @@
 // multiplexed onto one shared exec::Pool. The one-shot ngsx_convert pays
 // the source open and the index page reads on every invocation; a browser
 // or pileup service issuing many small region queries amortizes them to
-// zero here, and hot shard blocks are served from an LRU byte-budget cache.
+// zero here. Records are fetched through the session's one fetch path:
+// one positioned read per run of consecutive records.
 //
-// Usage:
+// Usage (each command is one line):
 //   ngsx_serve --data shards.bamxm --baix shards.baix --socket /tmp/ngsx.sock
-//   ngsx_serve --data input.bamx --baix2 input.baix2 \
-//       --socket /tmp/ngsx.sock --cache-mb 64 --metrics-interval 5 \
-//       --metrics-file metrics.json
-//   ngsx_serve --data input.bamx --baix input.baix \
-//       --once "CONVERT chr1:1000-2000 sam"          # in-process, no socket
+//   ngsx_serve --data input.bamx --baix2 input.baix2 --socket /tmp/ngsx.sock
+//              --metrics-interval 5 --metrics-file metrics.json
+//   ngsx_serve --data input.bamx --baix input.baix
+//              --once "CONVERT chr1:1000-2000 sam"    # in-process, no socket
 //
 // Protocol (one request line, one response; see docs/SERVING.md):
 //   CONVERT <region> <format> [mode=start|overlap] [mapq=N]
 //           [strand=fwd|rev] [nodup] [noheader] [deadline-ms=N]
 //   STATS | PING | SHUTDOWN | QUIT
+//
+// Exit status: 0 on success, 1 when serving fails, 2 on a usage error
+// (missing or unknown flag, bad flag value).
 
 #include <csignal>
 #include <cstdio>
@@ -42,8 +45,7 @@ int usage(const char* prog) {
                "usage: %s --data FILE.{bamx,bamxm} [--baix FILE.baix]\n"
                "          [--baix2 FILE.baix2]\n"
                "          (--socket PATH | --once REQUEST...)\n"
-               "          [--threads T] [--max-inflight N] [--cache-mb MB]\n"
-               "          [--records-per-block R]\n"
+               "          [--threads T] [--max-inflight N]\n"
                "          [--metrics-interval SEC] [--metrics-file FILE]\n"
                "--baix serves start-within regions; --baix2 additionally\n"
                "serves overlap regions and mapq/strand/duplicate filters\n"
@@ -76,6 +78,8 @@ int main(int argc, char** argv) {
   }
 
   try {
+    args.reject_unknown({"data", "baix", "baix2", "socket", "once", "threads",
+                         "max-inflight", "metrics-interval", "metrics-file"});
     obs::enable_metrics();  // STATS and --metrics-interval need it armed
 
     core::SessionOptions sopt;
@@ -94,9 +98,6 @@ int main(int argc, char** argv) {
 
     serve::ServerOptions opt;
     opt.max_queued = static_cast<size_t>(args.get_int("max-inflight", 64));
-    opt.cache_bytes = static_cast<size_t>(args.get_int("cache-mb", 0)) << 20;
-    opt.records_per_block =
-        static_cast<uint64_t>(args.get_int("records-per-block", 512));
     serve::Server server(session, pool, opt);
 
     std::unique_ptr<serve::MetricsFlusher> flusher;
@@ -148,9 +149,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ngsx_serve: drained, bye\n");
     g_server = nullptr;
     return 0;
-  } catch (const Error& e) {
+  } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return usage(argv[0]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -618,7 +618,15 @@ ConvertStats convert_bamx(const std::string& bamx_path,
 void build_baix2(const std::string& bamx_path,
                  const std::string& baix2_path) {
   obs::StageScope stage("convert.stage.index", "convert", "build_baix2");
-  baix2::Baix2Index::build(bamx::RecordSource(bamx_path)).save(baix2_path);
+  const ConversionSession session(SessionOptions{bamx_path, {}, {}});
+  std::vector<baix2::Entry> entries;
+  entries.reserve(session.num_records());
+  session.fetch(nullptr, 0, session.num_records(), [&](AlignmentRecord& rec) {
+    entries.push_back(baix2::Entry{rec.ref_id, rec.pos,
+                                   rec.pos >= 0 ? rec.end_pos() : -1, rec.flag,
+                                   rec.mapq, entries.size()});
+  });
+  baix2::Baix2Index::from_entries(std::move(entries)).save(baix2_path);
 }
 
 ConvertStats convert_bamx_filtered(const std::string& bamx_path,

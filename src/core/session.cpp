@@ -1,6 +1,6 @@
 #include "core/session.h"
 
-#include <algorithm>
+#include <string_view>
 
 namespace ngsx::core {
 
@@ -8,7 +8,7 @@ using sam::AlignmentRecord;
 
 namespace {
 
-/// Most records one read_range of ConversionSession::fetch covers.
+/// Most records one read of ConversionSession::fetch covers.
 constexpr uint64_t kFetchBatch = 4096;
 
 }  // namespace
@@ -80,22 +80,16 @@ std::vector<uint64_t> ConversionSession::plan(const Region& region,
 
 void ConversionSession::fetch(
     const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
-    const std::function<void(AlignmentRecord&)>& emit,
-    const RecordFetcher* fetcher) const {
-  if (plan != nullptr && fetcher != nullptr) {
-    AlignmentRecord rec;
-    for (uint64_t k = begin; k < end; ++k) {
-      fetcher->fetch((*plan)[static_cast<size_t>(k)], rec);
-      emit(rec);
-    }
-    return;
-  }
-  // From the source: one read_range per run of consecutive record indices
-  // (a whole-source fetch is one long run), capped at kFetchBatch records.
+    const std::function<void(AlignmentRecord&)>& emit) const {
+  // One read_raw_range per run of consecutive record indices (a
+  // whole-source fetch is one long run), capped at kFetchBatch records;
+  // the buffer and the record are reused across runs.
   auto index_at = [plan](uint64_t k) {
     return plan == nullptr ? k : (*plan)[static_cast<size_t>(k)];
   };
-  std::vector<AlignmentRecord> records;
+  const uint64_t record_bytes = stride();
+  std::string bytes;
+  AlignmentRecord rec;
   for (uint64_t k = begin; k < end;) {
     const uint64_t first = index_at(k);
     uint64_t run = 1;
@@ -103,9 +97,12 @@ void ConversionSession::fetch(
            index_at(k + run) == first + run) {
       ++run;
     }
-    records.clear();
-    source_.read_range(first, first + run, records);
-    for (AlignmentRecord& rec : records) {
+    bytes.clear();
+    source_.read_raw_range(first, first + run, bytes);
+    const std::string_view view(bytes);
+    for (uint64_t i = 0; i < run; ++i) {
+      bamx::decode_record(view.substr(i * record_bytes, record_bytes),
+                          source_.layout(), rec);
       emit(rec);
     }
     k += run;
@@ -114,20 +111,16 @@ void ConversionSession::fetch(
 
 ConversionSession::FormatResult ConversionSession::format_records(
     const std::vector<uint64_t>& indices, TargetFormat format,
-    bool include_header, std::string& out,
-    const RecordFetcher* fetcher) const {
+    bool include_header, std::string& out) const {
   const size_t start = out.size();
   FormatResult result;
   out += target_prologue(format, header(), include_header);
-  fetch(
-      &indices, 0, indices.size(),
-      [&](AlignmentRecord& rec) {
-        ++result.records_in;
-        if (format_target_record(format, rec, header(), out)) {
-          ++result.records_out;
-        }
-      },
-      fetcher);
+  fetch(&indices, 0, indices.size(), [&](AlignmentRecord& rec) {
+    ++result.records_in;
+    if (format_target_record(format, rec, header(), out)) {
+      ++result.records_out;
+    }
+  });
   result.bytes = out.size() - start;
   return result;
 }

@@ -15,7 +15,9 @@
 // the v1 reader keeps every page it has read — and serves any number of
 // plan/format calls; ngsx_serve shares one across all in-flight requests,
 // and the one-shot converters build a throwaway session internally so
-// both paths run the same code.
+// both paths run the same code. fetch() is the only way either reads a
+// record: one positioned read per run of consecutive record indices,
+// decoded into one reused record.
 //
 // Thread-safety: after construction every method is const and safe to call
 // concurrently from any number of threads. RecordSource reads are
@@ -38,18 +40,6 @@
 
 namespace ngsx::core {
 
-/// Fetch seam between planning and formatting: format_records() pulls
-/// records through this interface, so a caller can interpose a cache (the
-/// serving layer's block cache) without the session knowing. Implementations
-/// must be const-thread-safe like the RecordSource they wrap.
-class RecordFetcher {
- public:
-  virtual ~RecordFetcher() = default;
-
-  /// Decodes global record `index` into `rec`.
-  virtual void fetch(uint64_t index, sam::AlignmentRecord& rec) const = 0;
-};
-
 /// What a session opens. Only `bamx_path` is required; each index path is
 /// optional and loaded on first use.
 struct SessionOptions {
@@ -63,7 +53,6 @@ class ConversionSession {
   explicit ConversionSession(SessionOptions options);
 
   const sam::SamHeader& header() const { return source_.header(); }
-  const bamx::RecordSource& source() const { return source_; }
   uint64_t num_records() const { return source_.num_records(); }
   uint64_t stride() const { return source_.layout().stride(); }
 
@@ -94,15 +83,13 @@ class ConversionSession {
   std::vector<uint64_t> plan(const Region& region, baix2::RegionMode mode,
                              const baix2::Filter& filter = {}) const;
 
-  /// The slice fetch every BAMX conversion runs: calls `emit` for plan
-  /// entries [begin, end), in order. `plan` is a record-index list, or null
-  /// for every record of the source. With a `fetcher`, planned records are
-  /// fetched through it one by one; otherwise they are read from the source
-  /// with one bulk read per run of consecutive indices (at most 4096
-  /// records per read).
+  /// The one record fetch: calls `emit` for plan entries [begin, end), in
+  /// order. `plan` is a record-index list, or null for every record of the
+  /// source. Each run of consecutive indices (at most 4096 records) is one
+  /// bulk read; its records are decoded one at a time into one reused
+  /// record, so `emit` must not keep a reference past its return.
   void fetch(const std::vector<uint64_t>* plan, uint64_t begin, uint64_t end,
-             const std::function<void(sam::AlignmentRecord&)>& emit,
-             const RecordFetcher* fetcher = nullptr) const;
+             const std::function<void(sam::AlignmentRecord&)>& emit) const;
 
   struct FormatResult {
     uint64_t records_in = 0;   // records fetched
@@ -112,13 +99,11 @@ class ConversionSession {
 
   /// Per-request execution: appends prologue + one formatted record per
   /// planned index to `out`. Byte-identical to the part file a single
-  /// static rank would write for the same plan. `fetcher` defaults to
-  /// reading straight from the source. Text targets only (UsageError for
-  /// kBam, as for all record-level formatting).
+  /// static rank would write for the same plan. Text targets only
+  /// (UsageError for kBam, as for all record-level formatting).
   FormatResult format_records(const std::vector<uint64_t>& indices,
                               TargetFormat format, bool include_header,
-                              std::string& out,
-                              const RecordFetcher* fetcher = nullptr) const;
+                              std::string& out) const;
 
  private:
   SessionOptions options_;

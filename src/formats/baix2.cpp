@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
+#include "formats/sam.h"
 #include "util/binio.h"
 
 namespace ngsx::baix2 {
-
-using sam::AlignmentRecord;
 
 namespace {
 constexpr std::string_view kMagic{"BAIX\2", 5};
@@ -38,30 +37,6 @@ bool Filter::matches(const Entry& e) const {
     return false;
   }
   return true;
-}
-
-Baix2Index Baix2Index::build(const bamx::RecordSource& bamx) {
-  std::vector<Entry> entries;
-  entries.reserve(bamx.num_records());
-  std::vector<AlignmentRecord> batch;
-  for (uint64_t at = 0; at < bamx.num_records();) {
-    uint64_t take = std::min<uint64_t>(4096, bamx.num_records() - at);
-    batch.clear();
-    bamx.read_range(at, at + take, batch);
-    for (uint64_t k = 0; k < take; ++k) {
-      const AlignmentRecord& rec = batch[k];
-      Entry e;
-      e.ref_id = rec.ref_id;
-      e.begin = rec.pos;
-      e.end = rec.pos >= 0 ? rec.end_pos() : -1;
-      e.flag = rec.flag;
-      e.mapq = rec.mapq;
-      e.record_index = at + k;
-      entries.push_back(e);
-    }
-    at += take;
-  }
-  return from_entries(std::move(entries));
 }
 
 Baix2Index Baix2Index::from_entries(std::vector<Entry> entries) {

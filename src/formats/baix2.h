@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "formats/bamx.h"
-
 namespace ngsx::baix2 {
 
 /// One indexed alignment.
@@ -69,11 +67,8 @@ class Baix2Index {
  public:
   Baix2Index() = default;
 
-  /// Builds by scanning a record source (bulk decode in batches); works
-  /// over a monolithic BAMX or a BAMXM shard manifest alike.
-  static Baix2Index build(const bamx::RecordSource& bamx);
-
-  /// Builds from pre-collected entries (e.g. during preprocessing).
+  /// Builds from collected entries (core::build_baix2 collects them from
+  /// one scan of the BAMX).
   static Baix2Index from_entries(std::vector<Entry> entries);
 
   void save(const std::string& path) const;

@@ -178,10 +178,10 @@ class RecordSource {
 
   /// Appends the still-encoded bytes of records [begin, end) — exactly
   /// (end - begin) * stride bytes, byte-identical to the concatenated
-  /// on-disk record sections — to `out`. This is the block-cache fetch path
-  /// of the serving daemon: cached bytes are decoded lazily per record, so
-  /// one bulk read serves many point lookups without holding decoded
-  /// objects.
+  /// on-disk record sections — to `out`. ConversionSession::fetch reads
+  /// each run of consecutive records this way and decodes them one at a
+  /// time, so a run costs one read per shard it crosses and holds no
+  /// decoded objects.
   void read_raw_range(uint64_t begin, uint64_t end, std::string& out) const;
 
  private:

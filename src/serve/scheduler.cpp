@@ -200,17 +200,13 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
         base.format, session_.header(), base.include_header);
     std::vector<std::string> formatted(union_plan.size());
     std::vector<bool> emitted(union_plan.size());
-    sam::AlignmentRecord rec;
-    for (size_t i = 0; i < union_plan.size(); ++i) {
-      if (options_.fetcher != nullptr) {
-        options_.fetcher->fetch(union_plan[i], rec);
-      } else {
-        session_.source().read(union_plan[i], rec);
-      }
-      emitted[i] =
-          core::format_target_record(base.format, rec, session_.header(),
-                                     formatted[i]);
-    }
+    size_t slot = 0;
+    session_.fetch(&union_plan, 0, union_plan.size(),
+                   [&](sam::AlignmentRecord& rec) {
+                     emitted[slot] = core::format_target_record(
+                         base.format, rec, session_.header(), formatted[slot]);
+                     ++slot;
+                   });
 
     // Assemble every waiter's payload from the shared formatted records.
     // A waiter whose region is the whole union takes them all; a narrower

@@ -82,8 +82,6 @@ struct ServeResult {
 struct SchedulerOptions {
   size_t max_queued = 64;  // admission bound (channel capacity)
   int consumers = 0;       // pool consumer loops; 0 => pool.size()
-  /// Optional fetch seam (the block cache); nullptr reads the source.
-  const core::RecordFetcher* fetcher = nullptr;
   /// Test seam: runs at the start of every job execution, before the
   /// deadline check. A latch here freezes consumers so tests can build
   /// exact queue states (full queue, expired deadline, coalesced set).
@@ -92,8 +90,8 @@ struct SchedulerOptions {
 
 class Scheduler {
  public:
-  /// Spawns the consumer loops on `pool`. The session (and fetcher, if
-  /// any) must outlive the scheduler.
+  /// Spawns the consumer loops on `pool`. The session must outlive the
+  /// scheduler.
   Scheduler(const core::ConversionSession& session, exec::Pool& pool,
             SchedulerOptions options);
 

@@ -20,15 +20,9 @@ using std::chrono::steady_clock;
 Server::Server(const core::ConversionSession& session, exec::Pool& pool,
                ServerOptions options)
     : session_(session) {
-  if (options.cache_bytes > 0) {
-    cache_ = std::make_unique<BlockCache>(options.cache_bytes,
-                                          options.records_per_block);
-    fetcher_ = std::make_unique<CachedFetcher>(session.source(), *cache_);
-  }
   SchedulerOptions sched;
   sched.max_queued = options.max_queued;
   sched.consumers = options.consumers;
-  sched.fetcher = fetcher_.get();
   scheduler_ = std::make_unique<Scheduler>(session, pool, std::move(sched));
 }
 

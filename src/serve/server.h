@@ -21,16 +21,13 @@
 
 #include "core/session.h"
 #include "exec/pool.h"
-#include "serve/cache.h"
 #include "serve/scheduler.h"
 
 namespace ngsx::serve {
 
 struct ServerOptions {
-  size_t max_queued = 64;          // scheduler admission bound
-  int consumers = 0;               // scheduler consumer loops; 0 => pool size
-  size_t cache_bytes = 0;          // block cache budget; 0 disables caching
-  uint64_t records_per_block = 512;
+  size_t max_queued = 64;  // scheduler admission bound
+  int consumers = 0;       // scheduler consumer loops; 0 => pool size
 };
 
 class Server {
@@ -64,12 +61,9 @@ class Server {
   void stop();
 
   Scheduler& scheduler() { return *scheduler_; }
-  BlockCache* cache() { return cache_.get(); }  // null when caching is off
 
  private:
   const core::ConversionSession& session_;
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<CachedFetcher> fetcher_;
   std::unique_ptr<Scheduler> scheduler_;
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<int> listen_fd_{-1};

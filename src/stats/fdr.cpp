@@ -30,21 +30,68 @@ void gather_column(const SimulationSet& sims, size_t i,
   }
 }
 
+/// Eq. 5's inner sum for simulation b of one bin's column:
+/// sum_b' I(col[b] <= col[b']), in [1, B].
+int64_t rank_of(const std::vector<double>& column, size_t b) {
+  int64_t rank = 0;
+  const double v = column[b];
+  for (const double other : column) {
+    rank += v <= other ? 1 : 0;
+  }
+  return rank;
+}
+
 /// sum_b I( sum_b' I(col[b] <= col[b']) <= p_t ) for one bin's column.
 int64_t column_diamond(const std::vector<double>& column, int p_t) {
   int64_t diamond = 0;
-  const size_t b_count = column.size();
-  for (size_t b = 0; b < b_count; ++b) {
-    int64_t rank_of_b = 0;
-    const double v = column[b];
-    for (size_t bp = 0; bp < b_count; ++bp) {
-      rank_of_b += v <= column[bp] ? 1 : 0;
-    }
-    if (rank_of_b <= p_t) {
+  for (size_t b = 0; b < column.size(); ++b) {
+    if (rank_of(column, b) <= p_t) {
       ++diamond;
     }
   }
   return diamond;
+}
+
+/// out[r] = the number of (bin, simulation) pairs over bins [lo, hi) whose
+/// rank_of is r, for r in [0, B]: eq. 5's numerator at every threshold
+/// p_t is then the prefix sum out[0] + ... + out[p_t].
+void count_ranks(const SimulationSet& sims, size_t lo, size_t hi,
+                 int64_t* out) {
+  std::fill(out, out + sims.size() + 1, 0);
+  std::vector<double> column;
+  for (size_t i = lo; i < hi; ++i) {
+    gather_column(sims, i, column);
+    for (size_t b = 0; b < column.size(); ++b) {
+      ++out[rank_of(column, b)];
+    }
+  }
+}
+
+/// count_ranks over every bin, with the bins split across `ranks` minimpi
+/// ranks (ranks = 1 runs inline); every rank of a launched world returns
+/// the full B+1 counts.
+std::vector<int64_t> rank_counts(size_t m, const SimulationSet& sims,
+                                 int ranks) {
+  NGSX_CHECK_MSG(ranks >= 1, "ranks must be >= 1");
+  const size_t buckets = sims.size() + 1;
+  std::vector<int64_t> total(buckets);
+  if (ranks == 1 || m == 0) {
+    count_ranks(sims, 0, m, total.data());
+    return total;
+  }
+  auto parts = core::split_records(m, ranks);
+  std::vector<int64_t> per_rank(static_cast<size_t>(ranks) * buckets);
+  mpi::run(ranks, [&](mpi::Comm& comm) {
+    const size_t r = static_cast<size_t>(comm.rank());
+    auto [lo, hi] = parts[r];
+    comm.assemble_slices<int64_t>(
+        per_rank, r * buckets, (r + 1) * buckets,
+        [&](int64_t* slice) { count_ranks(sims, lo, hi, slice); });
+  });
+  for (size_t k = 0; k < per_rank.size(); ++k) {
+    total[k % buckets] += per_rank[k];
+  }
+  return total;
 }
 
 /// Fused per-bin component sums over bins [lo, hi):
@@ -286,19 +333,34 @@ Threshold select_threshold(std::span<const double> histogram,
     return target_fdr >= 0.0 ? Threshold{0, 0.0} : Threshold{};
   }
 
+  // Denominators: bins_at[p] = #(p_i == p), so #(p_i <= p_t) is a prefix
+  // sum.
+  std::vector<int64_t> bins_at(static_cast<size_t>(b_count) + 1);
+  for (int32_t p : p_counts) {
+    NGSX_CHECK_MSG(p >= 0 && p <= b_count, "p_i count out of [0, B]");
+    ++bins_at[static_cast<size_t>(p)];
+  }
+
   // p_t = 0: the numerator is structurally zero — every simulated value is
-  // <= itself, so rank_of_b >= 1 > p_t for all b — which makes the full
-  // Theta(M B^2) fused sweep a waste; only the denominator can decide.
-  // FDR is exactly 0 whenever any bin qualifies.
-  const bool any_at_zero =
-      std::find(p_counts.begin(), p_counts.end(), 0) != p_counts.end();
-  if (any_at_zero && 0.0 <= target_fdr) {
+  // <= itself, so rank_of_b >= 1 > p_t for all b — so only the denominator
+  // decides, without the Theta(M B^2) rank sweep. FDR is exactly 0
+  // whenever any bin qualifies.
+  if (bins_at[0] > 0 && 0.0 <= target_fdr) {
     return Threshold{0, 0.0};
   }
 
+  // Numerators: one rank sweep gives every threshold's sum_b d_b as a
+  // prefix sum, where a per-threshold fused pass would redo the sweep B
+  // times. The integer sums are the ones fdr_reference forms, so FDR is
+  // bitwise the same at every p_t.
+  const std::vector<int64_t> pairs_at =
+      rank_counts(histogram.size(), sims, ranks);
+  int64_t sum_diamond = pairs_at[0];
+  int64_t sum_star = bins_at[0];
   for (int p_t = 1; p_t <= b_count; ++p_t) {
-    FdrResult res = ranks > 1 ? fdr_parallel(histogram, sims, p_t, ranks)
-                              : fdr_fused(histogram, sims, p_t);
+    sum_diamond += pairs_at[static_cast<size_t>(p_t)];
+    sum_star += bins_at[static_cast<size_t>(p_t)];
+    const FdrResult res = make_result(sum_diamond, sum_star, sims.size());
     if (res.denominator > 0 && res.fdr <= target_fdr) {
       return Threshold{p_t, res.fdr};
     }

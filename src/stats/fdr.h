@@ -74,9 +74,12 @@ struct Threshold {
 
 /// Sweeps FDR over thresholds 0..B and returns the smallest p_t whose FDR
 /// is <= `target_fdr` with a non-zero denominator (the procedure's end
-/// use: threshold selection). Thresholds p_t >= 1 are evaluated with
-/// fdr_parallel at `ranks` width when ranks > 1, else with fdr_fused (the
-/// variants return equal values, so the width never changes the result).
+/// use: threshold selection). Thresholds p_t >= 1 share one Theta(M B^2)
+/// sweep, split across `ranks` minimpi ranks, that counts how many
+/// (bin, simulation) pairs have each rank_of_b in [0, B]; prefix sums of
+/// those counts and of the p_i values give every threshold's numerator
+/// and denominator, equal to fdr_reference's (the width never changes the
+/// result).
 ///
 /// Edge contracts:
 ///  * p_t = 0 is decided by the denominator alone, count(p_i == 0) — the

@@ -1,7 +1,7 @@
 // Tests for the serving subsystem (src/serve): byte-identity of served
 // payloads against the one-shot converters, deterministic scheduler
 // behavior (coalescing, admission control, deadlines, shutdown drain),
-// block-cache accounting, the wire protocol, serve.* metrics, the
+// the one-read-per-run fetch, the wire protocol, serve.* metrics, the
 // periodic metrics flusher, and a concurrent-query stress over one shared
 // session (the TSan job runs this binary).
 
@@ -18,8 +18,8 @@
 #include "core/convert.h"
 #include "core/session.h"
 #include "formats/bam.h"
+#include "formats/bamx.h"
 #include "obs/metrics.h"
-#include "serve/cache.h"
 #include "serve/metrics_flush.h"
 #include "serve/protocol.h"
 #include "serve/scheduler.h"
@@ -217,10 +217,40 @@ TEST(ServeByteIdentity, ShardedManifestSource) {
                               region));
 }
 
+/// Hand-built records that leave fields empty (no CIGAR, `*` QUAL, no aux,
+/// once no bases) between full ones, so a record reused across decodes
+/// shows any field carried over from the record before.
+std::vector<AlignmentRecord> sparse_and_full_records() {
+  std::vector<AlignmentRecord> records;
+  for (int i = 0; i < 12; ++i) {
+    AlignmentRecord rec;
+    rec.qname = "hand-" + std::to_string(i);
+    if (i % 2 == 0) {
+      rec.flag = sam::kPaired | sam::kRead1;
+      rec.ref_id = 0;
+      rec.pos = 100 * i;
+      rec.mapq = 60;
+      rec.cigar = sam::parse_cigar("4S30M2I10M");
+      rec.mate_ref_id = 0;
+      rec.mate_pos = 100 * i + 300;
+      rec.tlen = 350;
+      rec.seq = std::string(46, "ACGT"[i % 4]);
+      rec.qual = std::string(46, 'I');
+      rec.tags.push_back(sam::parse_aux("NM:i:2"));
+      rec.tags.push_back(sam::parse_aux("RG:Z:group-" + std::to_string(i)));
+    } else {
+      rec.flag = sam::kUnmapped;
+      rec.seq = i == 5 ? "" : "ACG";
+    }
+    records.push_back(std::move(rec));
+  }
+  return records;
+}
+
 TEST(ServeByteIdentity, CoalescedPlanFetchMatchesRecordReads) {
-  // fetch() reads runs of consecutive plan indices in bulk; every mix of
-  // runs, repeats, backward steps and shard crossings must emit exactly
-  // the records a per-index read gives.
+  // fetch() reads runs of consecutive plan indices in bulk and decodes
+  // them into one reused record; every mix of runs, repeats, backward
+  // steps and shard crossings must emit exactly the stored records.
   ServeData d;
   const std::string manifest = d.tmp.file("in.bamxm");
   core::PreprocessOptions popt;
@@ -228,27 +258,75 @@ TEST(ServeByteIdentity, CoalescedPlanFetchMatchesRecordReads) {
   popt.shards = 3;
   core::preprocess_bam_parallel(d.bam, manifest, d.tmp.file("par.baix"),
                                 popt);
-  ConversionSession session(SessionOptions{manifest, {}, {}});
-  bamx::RecordSource source(manifest);
-  const uint64_t n = source.num_records();
-  std::vector<uint64_t> plan;
-  for (uint64_t i = 0; i < n; ++i) {
-    plan.push_back(i);  // one run across every shard boundary
+  const std::vector<AlignmentRecord> hand = sparse_and_full_records();
+  const std::string hand_bamx = d.tmp.file("hand.bamx");
+  {
+    bamx::BamxLayout layout;
+    for (const AlignmentRecord& rec : hand) {
+      layout.accommodate(rec);
+    }
+    bamx::BamxWriter writer(hand_bamx, d.genome.header(), layout);
+    for (const AlignmentRecord& rec : hand) {
+      writer.write(rec);
+    }
+    writer.close();
   }
-  for (uint64_t i : {5ul, 6ul, 6ul, 7ul, 3ul, 4ul, n - 1, 0ul, 1ul}) {
-    plan.push_back(i);
-  }
-  for (uint64_t begin : {0ul, 1ul, n - 2}) {
-    std::vector<AlignmentRecord> got;
-    session.fetch(&plan, begin, plan.size(),
-                  [&](AlignmentRecord& rec) { got.push_back(rec); });
-    ASSERT_EQ(got.size(), plan.size() - begin);
-    AlignmentRecord want;
-    for (size_t k = 0; k < got.size(); ++k) {
-      source.read(plan[begin + k], want);
-      EXPECT_EQ(got[k], want) << "plan entry " << begin + k;
+
+  for (const std::string& path : {manifest, hand_bamx}) {
+    SCOPED_TRACE(path);
+    ConversionSession session(SessionOptions{path, {}, {}});
+    bamx::RecordSource source(path);
+    const uint64_t n = source.num_records();
+    std::vector<uint64_t> plan;
+    for (uint64_t i = 0; i < n; ++i) {
+      plan.push_back(i);  // one run across every shard boundary
+    }
+    for (uint64_t i : {5ul, 6ul, 6ul, 7ul, 3ul, 4ul, n - 1, 0ul, 1ul}) {
+      plan.push_back(i);
+    }
+    for (uint64_t begin : {0ul, 1ul, n - 2}) {
+      std::vector<AlignmentRecord> got;
+      session.fetch(&plan, begin, plan.size(),
+                    [&](AlignmentRecord& rec) { got.push_back(rec); });
+      ASSERT_EQ(got.size(), plan.size() - begin);
+      AlignmentRecord want;
+      for (size_t k = 0; k < got.size(); ++k) {
+        const uint64_t index = plan[begin + k];
+        if (path == hand_bamx) {
+          want = hand[index];
+        } else {
+          source.read(index, want);
+        }
+        EXPECT_EQ(got[k], want) << "plan entry " << begin + k;
+      }
     }
   }
+}
+
+TEST(ServeFetch, WarmContiguousRegionIsOneRead) {
+  // With the index pages cached by a first request, a region whose plan
+  // is one run of consecutive records costs exactly one positioned read.
+  ServeData d;
+  ConversionSession session(SessionOptions{d.bamx, d.baix, {}});
+  const Region region = session.parse("chr1:1-60000");
+  const std::vector<uint64_t> plan =
+      session.plan(region, baix2::RegionMode::kStartWithin);
+  ASSERT_GE(plan.size(), 2u) << "a one-record region defeats the test";
+  for (size_t k = 1; k < plan.size(); ++k) {
+    ASSERT_EQ(plan[k], plan[0] + k) << "region plan is not one run";
+  }
+
+  obs::enable_metrics();
+  exec::Pool pool(2);
+  Server server(session, pool, {});
+  const std::string line = "CONVERT chr1:1-60000 sam";
+  const std::string first = server.handle_line(line);
+  ASSERT_TRUE(first.rfind("OK ", 0) == 0) << first;
+  const uint64_t reads_before =
+      obs::snapshot().counter_value("io.binio.reads");
+  EXPECT_EQ(server.handle_line(line), first);
+  EXPECT_EQ(obs::snapshot().counter_value("io.binio.reads") - reads_before,
+            1u);
 }
 
 // ------------------------------------------------------------- scheduler
@@ -409,74 +487,6 @@ TEST(ServeScheduler, FiltersWithoutBaix2AreBadRequest) {
   EXPECT_EQ(result.reject, RejectReason::kBadRequest);
 }
 
-// ------------------------------------------------------------ block cache
-
-TEST(ServeCache, HitMissEvictionAccounting) {
-  ServeData d;
-  bamx::RecordSource source(d.bamx);
-  const uint64_t stride = source.layout().stride();
-  const uint64_t rpb = 16;
-  // Budget of exactly two full blocks.
-  BlockCache cache(static_cast<size_t>(2 * rpb * stride), rpb);
-
-  auto b0 = cache.block(source, 0);
-  EXPECT_EQ(b0->size(), rpb * stride);
-  std::string direct;
-  source.read_raw_range(0, rpb, direct);
-  EXPECT_EQ(*b0, direct);
-
-  cache.block(source, 0);  // hit
-  cache.block(source, 1);  // miss; resident {0, 1}
-  cache.block(source, 2);  // miss; evicts 0 (LRU is block 0)
-  cache.block(source, 1);  // hit
-  cache.block(source, 0);  // miss again (was evicted)
-
-  BlockCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.blocks, 2u);
-  EXPECT_LE(stats.bytes, 2 * rpb * stride);
-}
-
-TEST(ServeCache, CachedFetcherDecodesIdentically) {
-  ServeData d;
-  bamx::RecordSource source(d.bamx);
-  BlockCache cache(1 << 20, 8);
-  CachedFetcher fetcher(source, cache);
-  AlignmentRecord direct, cached;
-  const std::vector<uint64_t> probes = {0, 7, 8, 63, source.num_records() - 1};
-  for (uint64_t i : probes) {
-    source.read(i, direct);
-    fetcher.fetch(i, cached);
-    EXPECT_EQ(direct, cached) << "record " << i;
-  }
-}
-
-TEST(ServeCache, CacheHitsAndMissesObservable) {
-  ServeData d;
-  obs::enable_metrics();
-  obs::reset_metrics();
-  ConversionSession session(SessionOptions{d.bamx, d.baix, {}});
-  exec::Pool pool(2);
-  ServerOptions opt;
-  opt.cache_bytes = 8 << 20;
-  opt.records_per_block = 32;
-  Server server(session, pool, opt);
-
-  const std::string line = "CONVERT chr1:1-200000 sam";
-  const std::string first = server.handle_line(line);
-  const std::string second = server.handle_line(line);  // same hot blocks
-  EXPECT_EQ(first, second);
-
-  const obs::Snapshot snap = obs::snapshot();
-  EXPECT_GT(snap.counter_value("serve.cache.misses"), 0u);
-  EXPECT_GE(snap.counter_value("serve.cache.hits"),
-            snap.counter_value("serve.cache.misses"));
-  ASSERT_NE(server.cache(), nullptr);
-  EXPECT_GT(server.cache()->stats().hits, 0u);
-}
-
 // -------------------------------------------------------------- protocol
 
 TEST(ServeProtocol, ParsesConvertOptions) {
@@ -599,15 +609,13 @@ TEST(ServeMetricsFlusher, PeriodicAtomicSnapshots) {
 // ------------------------------------------------- concurrent-query stress
 
 // Shared-session thread-safety: many threads hammer one Server (and thus
-// one ConversionSession, Scheduler, BlockCache) with mixed requests. The
-// TSan CI job runs this to certify the documented const-thread-safety.
+// one ConversionSession and Scheduler) with mixed requests. The TSan CI
+// job runs this to certify the documented const-thread-safety.
 TEST(ServeStress, ConcurrentQueriesOverSharedSession) {
   ServeData d(200, 11);
   ConversionSession session(SessionOptions{d.bamx, d.baix, d.baix2});
   exec::Pool pool(4);
   ServerOptions opt;
-  opt.cache_bytes = 4 << 20;
-  opt.records_per_block = 64;
   opt.max_queued = 256;
   Server server(session, pool, opt);
 

@@ -560,6 +560,46 @@ TEST(Fdr, SelectThresholdMatchesReferenceSweep) {
   }
 }
 
+TEST(Fdr, SelectThresholdSweepMatchesReferenceLoopAtEveryWidth) {
+  // Each bin is capped at its largest simulated value, so every p_i >= 1
+  // and p_t = 0 never qualifies: the threshold always comes from the rank
+  // sweep, which must agree with a loop of fdr_reference at every width,
+  // including targets that nothing meets.
+  FdrFixture f(/*m=*/400, /*b=*/10, /*seed=*/5);
+  for (size_t i = 0; i < f.hist.size(); ++i) {
+    double column_max = 0.0;
+    for (const auto& sim : f.sims) {
+      column_max = std::max(column_max, sim[i]);
+    }
+    f.hist[i] = std::min(f.hist[i], column_max);
+  }
+  const std::vector<int32_t> p_counts = exceedance_counts(f.hist, f.sims);
+  ASSERT_EQ(std::count(p_counts.begin(), p_counts.end(), 0), 0);
+
+  int qualified = 0;
+  int unmet = 0;
+  for (double target : {-0.1, 0.1, 0.2, 0.3, 0.5, 0.9}) {
+    Threshold want;
+    for (int p_t = 0; p_t <= static_cast<int>(f.sims.size()); ++p_t) {
+      const FdrResult res = fdr_reference(f.hist, f.sims, p_t);
+      if (res.denominator > 0 && res.fdr <= target) {
+        want = Threshold{p_t, res.fdr};
+        break;
+      }
+    }
+    (want.p_t >= 0 ? qualified : unmet) += 1;
+    for (int ranks : {1, 4}) {
+      SCOPED_TRACE("target=" + std::to_string(target) +
+                   " ranks=" + std::to_string(ranks));
+      const Threshold got = select_threshold(f.hist, f.sims, target, ranks);
+      EXPECT_EQ(got.p_t, want.p_t);
+      EXPECT_EQ(got.fdr, want.fdr);
+    }
+  }
+  EXPECT_GE(qualified, 3) << "targets too strict to exercise the sweep";
+  EXPECT_GE(unmet, 2) << "every target met; none-qualifies untested";
+}
+
 TEST(Fdr, ExceedanceCountsAreEq4AtEveryWidth) {
   FdrFixture f(700, 9, 8);
   std::vector<int32_t> want(f.hist.size());
