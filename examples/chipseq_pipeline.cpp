@@ -16,9 +16,9 @@
 #include <cstdio>
 
 #include <numeric>
+#include <string_view>
 
 #include "formats/bam.h"
-#include "formats/fai.h"
 #include "simdata/histsim.h"
 #include "simdata/readsim.h"
 #include "stats/fdr.h"
@@ -106,18 +106,22 @@ int main(int argc, char** argv) {
   std::printf("selected threshold p_t=%d with FDR %.4f (target %.2f)\n",
               result.p_t, result.fdr, target_fdr);
 
-  // Annotate calls with reference context via the indexed FASTA.
-  const std::string fasta_path = workspace.file("genome.fasta");
-  genome.write_fasta(fasta_path);
-  fai::IndexedFasta reference(fasta_path);
-
+  // Annotate calls with the GC fraction of the simulated reference under
+  // them (G/C over A/C/G/T, case-insensitive; N bases are not counted).
+  const std::string& chr1 = genome.sequence(0);
   std::printf("\nenriched regions (merged bins):\n");
   for (const auto& region : result.regions) {
     size_t begin_bp = region.begin_bin * static_cast<size_t>(bin_size);
     size_t end_bp = region.end_bin * static_cast<size_t>(bin_size);
-    double gc = fai::gc_fraction(
-        reference.fetch("chr1", static_cast<int64_t>(begin_bp),
-                        static_cast<int64_t>(end_bp)));
+    std::string_view bases =
+        std::string_view(chr1).substr(begin_bp, end_bp - begin_bp);
+    auto count_of = [&](std::string_view set) {
+      return std::count_if(bases.begin(), bases.end(), [&](char c) {
+        return set.find(c) != std::string_view::npos;
+      });
+    };
+    const auto acgt = count_of("ACGTacgt");
+    double gc = acgt == 0 ? 0.0 : static_cast<double>(count_of("GCgc")) / acgt;
     std::printf("  chr1:%zu-%zu (%.0f mean, %.0f max coverage, %.0f%% GC)\n",
                 begin_bp, end_bp, region.mean_value, region.max_value,
                 100.0 * gc);

@@ -493,25 +493,6 @@ size_t RecordSource::shard_of(uint64_t i) const {
   return k - 1;
 }
 
-void RecordSource::read(uint64_t i, AlignmentRecord& rec) const {
-  std::string body;
-  read_raw_range(i, i + 1, body);
-  decode_record(body, layout_, rec);
-}
-
-void RecordSource::read_range(uint64_t begin, uint64_t end,
-                              std::vector<AlignmentRecord>& out) const {
-  std::string bytes;
-  read_raw_range(begin, end, bytes);
-  const uint64_t stride = layout_.stride();
-  const size_t base = out.size();
-  out.resize(base + (end - begin));
-  for (uint64_t i = 0; i < end - begin; ++i) {
-    decode_record(std::string_view(bytes).substr(i * stride, stride), layout_,
-                  out[base + i]);
-  }
-}
-
 void RecordSource::read_raw_range(uint64_t begin, uint64_t end,
                                   std::string& out) const {
   NGSX_CHECK_MSG(begin <= end && end <= num_records(),

@@ -168,20 +168,13 @@ class RecordSource {
   uint64_t num_records() const { return bases_.back(); }
   size_t num_shards() const { return shards_.size(); }
 
-  /// Reads record `i` (random access — the property BAMX exists for).
-  void read(uint64_t i, sam::AlignmentRecord& rec) const;
-
-  /// Reads records [begin, end) appending to `out` (bulk I/O: one pread
-  /// per shard the range crosses).
-  void read_range(uint64_t begin, uint64_t end,
-                  std::vector<sam::AlignmentRecord>& out) const;
-
   /// Appends the still-encoded bytes of records [begin, end) — exactly
   /// (end - begin) * stride bytes, byte-identical to the concatenated
   /// on-disk record sections — to `out`. ConversionSession::fetch reads
   /// each run of consecutive records this way and decodes them one at a
   /// time, so a run costs one read per shard it crosses and holds no
-  /// decoded objects.
+  /// decoded objects. Record i alone is read_raw_range(i, i + 1) plus
+  /// decode_record: random access, the property BAMX exists for.
   void read_raw_range(uint64_t begin, uint64_t end, std::string& out) const;
 
  private:

@@ -142,83 +142,6 @@ std::vector<BedInterval> merge_intervals(std::vector<BedInterval> intervals,
   return out;
 }
 
-std::vector<BedInterval> intersect_intervals(std::vector<BedInterval> lhs,
-                                             std::vector<BedInterval> rhs) {
-  sort_intervals(lhs);
-  sort_intervals(rhs);
-  std::vector<BedInterval> out;
-  size_t j_start = 0;
-  for (const auto& a : lhs) {
-    // Advance j_start past rhs intervals that can never overlap again.
-    while (j_start < rhs.size() &&
-           (rhs[j_start].chrom < a.chrom ||
-            (rhs[j_start].chrom == a.chrom && rhs[j_start].end <= a.begin))) {
-      ++j_start;
-    }
-    for (size_t j = j_start; j < rhs.size(); ++j) {
-      const auto& b = rhs[j];
-      if (b.chrom != a.chrom || b.begin >= a.end) {
-        break;
-      }
-      if (b.end <= a.begin) {
-        continue;  // ends before a but started after j_start's frontier
-      }
-      BedInterval seg;
-      seg.chrom = a.chrom;
-      seg.begin = std::max(a.begin, b.begin);
-      seg.end = std::min(a.end, b.end);
-      seg.name = a.name;
-      seg.score = a.score;
-      seg.strand = a.strand;
-      if (seg.begin < seg.end) {
-        out.push_back(std::move(seg));
-      }
-    }
-  }
-  sort_intervals(out);
-  return out;
-}
-
-std::vector<BedInterval> subtract_intervals(std::vector<BedInterval> lhs,
-                                            std::vector<BedInterval> rhs) {
-  auto blocked = merge_intervals(rhs);  // disjoint, sorted
-  sort_intervals(lhs);
-  std::vector<BedInterval> out;
-  size_t j_start = 0;
-  for (const auto& a : lhs) {
-    while (j_start < blocked.size() &&
-           (blocked[j_start].chrom < a.chrom ||
-            (blocked[j_start].chrom == a.chrom &&
-             blocked[j_start].end <= a.begin))) {
-      ++j_start;
-    }
-    int64_t cursor = a.begin;
-    for (size_t j = j_start; j < blocked.size(); ++j) {
-      const auto& b = blocked[j];
-      if (b.chrom != a.chrom || b.begin >= a.end) {
-        break;
-      }
-      if (b.begin > cursor) {
-        BedInterval keep = a;
-        keep.begin = cursor;
-        keep.end = b.begin;
-        out.push_back(std::move(keep));
-      }
-      cursor = std::max(cursor, b.end);
-      if (cursor >= a.end) {
-        break;
-      }
-    }
-    if (cursor < a.end) {
-      BedInterval keep = a;
-      keep.begin = cursor;
-      out.push_back(std::move(keep));
-    }
-  }
-  sort_intervals(out);
-  return out;
-}
-
 int64_t covered_bases(std::vector<BedInterval> intervals) {
   int64_t total = 0;
   for (const auto& merged : merge_intervals(std::move(intervals))) {

@@ -1,11 +1,10 @@
 // ngsx/formats/bed.h
 //
-// BED interval parsing and genomic interval algebra — a compact
-// BEDTools-style utility layer (the paper's §VI situates its converter
-// against BEDTools' "comparison, manipulation, and annotation of genomic
-// features"). The converter writes BED; this module reads it back and
-// supports the set operations downstream analyses chain onto those
-// outputs: sort, merge, intersect, subtract, and per-interval coverage.
+// BED interval parsing and the few interval operations the tools use:
+// read and write BED rows, sort, merge, covered bases (ngsx_stats reports
+// it for called peaks) and per-interval overlap counts. Set algebra
+// (intersect, subtract) is BEDTools' job, not the paper's (§VI situates
+// the converter against BEDTools).
 //
 // Intervals are zero-based half-open [begin, end), BED's native
 // convention. Operations take chromosome identity from the `chrom` string
@@ -53,8 +52,8 @@ void write_bed(const std::string& path,
                const std::vector<BedInterval>& intervals);
 
 // ---------------------------------------------------------------------------
-// Interval algebra. All operations are pure; inputs need not be sorted
-// unless stated. Results are sorted by (chrom, begin, end).
+// Interval operations. All are pure; inputs need not be sorted. Interval
+// results are sorted by (chrom, begin, end).
 // ---------------------------------------------------------------------------
 
 /// Sorts by (chrom, begin, end) — lexicographic chromosome order, like
@@ -66,16 +65,6 @@ void sort_intervals(std::vector<BedInterval>& intervals);
 /// merge does by default); the count of merged inputs lands in `score`.
 std::vector<BedInterval> merge_intervals(std::vector<BedInterval> intervals,
                                          int64_t max_gap = 0);
-
-/// Intersection: for each pair (a in lhs, b in rhs) that overlaps, emits
-/// the overlapping segment (bedtools intersect). O((n+m) log + pairs).
-std::vector<BedInterval> intersect_intervals(std::vector<BedInterval> lhs,
-                                             std::vector<BedInterval> rhs);
-
-/// Subtraction: the parts of lhs intervals not covered by any rhs
-/// interval (bedtools subtract).
-std::vector<BedInterval> subtract_intervals(std::vector<BedInterval> lhs,
-                                            std::vector<BedInterval> rhs);
 
 /// Total bases covered by the union of the intervals.
 int64_t covered_bases(std::vector<BedInterval> intervals);

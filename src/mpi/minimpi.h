@@ -306,32 +306,6 @@ class Comm {
     return bcast_value(0, reduce_sum(0, local));
   }
 
-  /// Max-reduction delivered to every rank.
-  template <typename T>
-  T allreduce_max(const T& local) {
-    auto vals = gather_values<T>(0, local);
-    T best = local;
-    for (const auto& v : vals) {
-      if (best < v) {
-        best = v;
-      }
-    }
-    return bcast_value(0, best);
-  }
-
-  /// Exclusive prefix sum over ranks (rank r receives sum of ranks < r).
-  template <typename T>
-  T exscan_sum(const T& local) {
-    auto vals = allgather(std::string_view(
-        reinterpret_cast<const char*>(&local), sizeof(T)));
-    T acc{};
-    for (int r = 0; r < rank_; ++r) {
-      T v;
-      __builtin_memcpy(&v, vals[static_cast<size_t>(r)].data(), sizeof(T));
-      acc += v;
-    }
-    return acc;
-  }
 
  private:
   friend Comm detail::make_comm(detail::Endpoint*);

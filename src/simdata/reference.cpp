@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/binio.h"
+#include "util/common.h"
 #include "util/rng.h"
 
 namespace ngsx::simdata {
@@ -94,21 +94,6 @@ uint64_t ReferenceGenome::total_bases() const {
     total += s.size();
   }
   return total;
-}
-
-void ReferenceGenome::write_fasta(const std::string& path) const {
-  OutputFile out(path);
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    out.write(">");
-    out.write(refs_[i].name);
-    out.write("\n");
-    const std::string& seq = seqs_[i];
-    for (size_t pos = 0; pos < seq.size(); pos += 60) {
-      out.write(std::string_view(seq).substr(pos, 60));
-      out.write("\n");
-    }
-  }
-  out.close();
 }
 
 }  // namespace ngsx::simdata

@@ -40,9 +40,6 @@ class ReferenceGenome {
   /// Total bases across all chromosomes.
   uint64_t total_bases() const;
 
-  /// Writes the genome as a FASTA file (60-column wrapping).
-  void write_fasta(const std::string& path) const;
-
  private:
   std::vector<sam::Reference> refs_;
   sam::SamHeader header_;

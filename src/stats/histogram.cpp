@@ -48,13 +48,6 @@ const std::vector<double>& CoverageHistogram::bins(int32_t ref_id) const {
   return per_ref_[static_cast<size_t>(ref_id)];
 }
 
-std::vector<double>& CoverageHistogram::mutable_bins(int32_t ref_id) {
-  NGSX_CHECK_MSG(
-      ref_id >= 0 && static_cast<size_t>(ref_id) < per_ref_.size(),
-      "reference id out of range");
-  return per_ref_[static_cast<size_t>(ref_id)];
-}
-
 std::vector<double> CoverageHistogram::flatten() const {
   std::vector<double> out;
   out.reserve(total_bins());
@@ -98,45 +91,6 @@ void CoverageHistogram::write_bedgraph(const std::string& path) const {
     }
   }
   out.close();
-}
-
-CoverageHistogram CoverageHistogram::read_bedgraph(const std::string& path,
-                                                   const SamHeader& header,
-                                                   int32_t bin_size) {
-  CoverageHistogram hist(header, bin_size);
-  std::string data = read_file(path);
-  std::vector<std::string_view> fields;
-  size_t pos = 0;
-  while (pos < data.size()) {
-    size_t nl = data.find('\n', pos);
-    std::string_view line(data.data() + pos,
-                          (nl == std::string::npos ? data.size() : nl) - pos);
-    pos = nl == std::string::npos ? data.size() : nl + 1;
-    if (line.empty() || line[0] == '#' ||
-        strutil::starts_with(line, "track")) {
-      continue;
-    }
-    strutil::split(line, '\t', fields);
-    if (fields.size() < 4) {
-      throw FormatError("BEDGRAPH line with fewer than 4 fields");
-    }
-    int32_t ref = header.ref_id(fields[0]);
-    if (ref < 0) {
-      throw FormatError("unknown chromosome '" + std::string(fields[0]) +
-                        "' in BEDGRAPH");
-    }
-    int64_t beg = strutil::parse_int<int64_t>(fields[1], "bedgraph start");
-    int64_t end = strutil::parse_int<int64_t>(fields[2], "bedgraph end");
-    double value = strutil::parse_double(fields[3], "bedgraph value");
-    auto& bins = hist.mutable_bins(ref);
-    for (int64_t p = beg; p < end; p += bin_size) {
-      size_t b = static_cast<size_t>(p / bin_size);
-      if (b < bins.size()) {
-        bins[b] = value;
-      }
-    }
-  }
-  return hist;
 }
 
 CoverageHistogram histogram_from_bam(const std::string& bam_path,

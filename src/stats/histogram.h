@@ -5,7 +5,7 @@
 // producing the histogram data the NL-means and FDR steps consume. The
 // paper's pipeline materializes these via the converter (SAM/BAM ->
 // BED/BEDGRAPH); this module provides the direct in-memory builder plus
-// BEDGRAPH import/export so either path works. The builder is one
+// BEDGRAPH export (ngsx_stats --bedgraph). The builder is one
 // streaming pass over BAM (with parallel BGZF inflate) or SAM. A
 // rank-parallel builder over preprocessed BAMX lost to it end to end,
 // preprocessing included, and was retired (EXPERIMENTS.md).
@@ -36,7 +36,6 @@ class CoverageHistogram {
 
   /// Bins of chromosome `ref_id`.
   const std::vector<double>& bins(int32_t ref_id) const;
-  std::vector<double>& mutable_bins(int32_t ref_id);
 
   /// All chromosomes concatenated into one 1-D array (the layout the
   /// statistical steps operate on).
@@ -48,11 +47,6 @@ class CoverageHistogram {
   /// Serializes as BEDGRAPH, merging runs of equal values into one row
   /// (the format's concise track representation).
   void write_bedgraph(const std::string& path) const;
-
-  /// Parses a BEDGRAPH produced by write_bedgraph back into a histogram.
-  static CoverageHistogram read_bedgraph(const std::string& path,
-                                         const sam::SamHeader& header,
-                                         int32_t bin_size);
 
  private:
   sam::SamHeader header_;

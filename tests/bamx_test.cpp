@@ -175,38 +175,46 @@ TEST(BamxFile, HeaderAndCountPersisted) {
 TEST(BamxFile, RandomAccessAnyOrder) {
   FileFixture f;
   RecordSource r(f.path);
-  AlignmentRecord rec;
   for (uint64_t i : {199u, 0u, 57u, 123u, 1u, 198u}) {
-    r.read(i, rec);
-    EXPECT_EQ(rec, f.records[i]) << "record " << i;
+    EXPECT_EQ(testutil::read_records(r, i, i + 1),
+              std::vector<AlignmentRecord>{f.records[i]})
+        << "record " << i;
   }
 }
 
 TEST(BamxFile, ReadRangeBulk) {
   FileFixture f;
   RecordSource r(f.path);
-  std::vector<AlignmentRecord> batch;
-  r.read_range(50, 100, batch);
-  ASSERT_EQ(batch.size(), 50u);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i], f.records[50 + i]);
+  const uint64_t stride = r.layout().stride();
+  std::string bytes;
+  r.read_raw_range(50, 100, bytes);
+  ASSERT_EQ(bytes.size(), 50 * stride);
+  AlignmentRecord rec;
+  for (uint64_t i = 0; i < 50; ++i) {
+    decode_record(std::string_view(bytes).substr(i * stride, stride),
+                  r.layout(), rec);
+    EXPECT_EQ(rec, f.records[50 + i]);
   }
-  // Appending semantics.
-  r.read_range(0, 10, batch);
-  EXPECT_EQ(batch.size(), 60u);
-  EXPECT_EQ(batch[50], f.records[0]);
+  // Appending semantics: the bytes of records [0, 10) follow.
+  r.read_raw_range(0, 10, bytes);
+  ASSERT_EQ(bytes.size(), 60 * stride);
+  decode_record(std::string_view(bytes).substr(50 * stride, stride),
+                r.layout(), rec);
+  EXPECT_EQ(rec, f.records[0]);
   // Empty range is a no-op.
-  r.read_range(5, 5, batch);
-  EXPECT_EQ(batch.size(), 60u);
+  r.read_raw_range(5, 5, bytes);
+  EXPECT_EQ(bytes.size(), 60 * stride);
 }
 
 TEST(BamxFile, OutOfRangeChecked) {
   FileFixture f;
   RecordSource r(f.path);
-  AlignmentRecord rec;
-  EXPECT_THROW(r.read(f.records.size(), rec), Error);
-  std::vector<AlignmentRecord> batch;
-  EXPECT_THROW(r.read_range(0, f.records.size() + 1, batch), Error);
+  std::string bytes;
+  EXPECT_THROW(r.read_raw_range(f.records.size(), f.records.size() + 1, bytes),
+               Error);
+  EXPECT_THROW(r.read_raw_range(0, f.records.size() + 1, bytes), Error);
+  EXPECT_THROW(r.read_raw_range(10, 5, bytes), Error);
+  EXPECT_TRUE(bytes.empty());
 }
 
 TEST(BamxFile, BadMagicRejected) {
@@ -421,10 +429,10 @@ TEST(Baix, EntriesPointToCorrectRecords) {
   RecordSource r(f.path);
   BaixReader index =
       testutil::saved_baix_of(f.records, f.tmp.file("p.baix"));
-  AlignmentRecord rec;
+  const auto records = testutil::read_records(r, 0, r.num_records());
   auto [lo, hi] = index.query(0, 0, 2000);
   for (const BaixEntry& e : index.entries(lo, hi)) {
-    r.read(e.record_index, rec);
+    const AlignmentRecord& rec = records.at(e.record_index);
     EXPECT_EQ(rec.pos, e.pos);
     EXPECT_EQ(rec.ref_id, e.ref_id);
   }

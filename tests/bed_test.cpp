@@ -1,4 +1,5 @@
-// Tests for BED parsing and the interval algebra (BEDTools-style ops).
+// Tests for BED parsing and the interval operations (sort, merge, covered
+// bases, overlap counts).
 
 #include <gtest/gtest.h>
 
@@ -143,60 +144,6 @@ TEST(BedOps, MergeContained) {
   EXPECT_EQ(merged[0].end, 100);
 }
 
-TEST(BedOps, Intersect) {
-  auto out = intersect_intervals(
-      {iv("chr1", 0, 50), iv("chr1", 100, 150), iv("chr2", 0, 10)},
-      {iv("chr1", 40, 120), iv("chr2", 5, 8)});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], iv("chr1", 40, 50));
-  EXPECT_EQ(out[1], iv("chr1", 100, 120));
-  EXPECT_EQ(out[2], iv("chr2", 5, 8));
-}
-
-TEST(BedOps, IntersectEmptyWhenDisjoint) {
-  EXPECT_TRUE(intersect_intervals({iv("c", 0, 10)}, {iv("c", 10, 20)})
-                  .empty());
-  EXPECT_TRUE(intersect_intervals({iv("c1", 0, 10)}, {iv("c2", 0, 10)})
-                  .empty());
-}
-
-TEST(BedOps, IntersectKeepsLhsAnnotation) {
-  BedInterval a = iv("c", 0, 10);
-  a.name = "peak7";
-  a.strand = '-';
-  auto out = intersect_intervals({a}, {iv("c", 5, 20)});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].name, "peak7");
-  EXPECT_EQ(out[0].strand, '-');
-}
-
-TEST(BedOps, Subtract) {
-  auto out = subtract_intervals({iv("c", 0, 100)},
-                                {iv("c", 20, 30), iv("c", 50, 60)});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], iv("c", 0, 20));
-  EXPECT_EQ(out[1], iv("c", 30, 50));
-  EXPECT_EQ(out[2], iv("c", 60, 100));
-}
-
-TEST(BedOps, SubtractFullCoverRemoves) {
-  EXPECT_TRUE(
-      subtract_intervals({iv("c", 10, 20)}, {iv("c", 0, 100)}).empty());
-}
-
-TEST(BedOps, SubtractNoOverlapKeeps) {
-  auto out = subtract_intervals({iv("c", 0, 10)}, {iv("c", 50, 60)});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], iv("c", 0, 10));
-}
-
-TEST(BedOps, SubtractOverlapAtEdges) {
-  auto out = subtract_intervals({iv("c", 10, 30)},
-                                {iv("c", 0, 15), iv("c", 25, 40)});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], iv("c", 15, 25));
-}
-
 TEST(BedOps, CoveredBases) {
   EXPECT_EQ(covered_bases({iv("c", 0, 10), iv("c", 5, 20), iv("d", 0, 3)}),
             23);
@@ -208,23 +155,6 @@ TEST(BedOps, CountOverlaps) {
       {iv("c", 0, 10), iv("c", 100, 110), iv("d", 0, 5)},
       {iv("c", 5, 8), iv("c", 9, 20), iv("c", 105, 106), iv("e", 0, 5)});
   EXPECT_EQ(counts, (std::vector<uint64_t>{2, 1, 0}));
-}
-
-TEST(BedOps, IntersectSubtractPartitionProperty) {
-  // intersect(a, b) and subtract(a, b) partition a: their covered bases
-  // sum to a's coverage, and they don't overlap each other.
-  std::vector<BedInterval> a = {iv("c", 0, 50), iv("c", 80, 120),
-                                iv("d", 10, 40)};
-  std::vector<BedInterval> b = {iv("c", 30, 90), iv("d", 0, 20),
-                                iv("d", 35, 36)};
-  auto inter = intersect_intervals(a, b);
-  auto sub = subtract_intervals(a, b);
-  EXPECT_EQ(covered_bases(inter) + covered_bases(sub), covered_bases(a));
-  for (const auto& x : inter) {
-    for (const auto& y : sub) {
-      EXPECT_FALSE(x.overlaps(y));
-    }
-  }
 }
 
 }  // namespace

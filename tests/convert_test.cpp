@@ -197,11 +197,8 @@ TEST(BamConverter, PreprocessProducesFaithfulBamx) {
   EXPECT_EQ(stats.records, d.records.size());
   bamx::RecordSource reader(manifest);
   ASSERT_EQ(reader.num_records(), d.records.size());
-  AlignmentRecord rec;
-  for (size_t i = 0; i < d.records.size(); ++i) {
-    reader.read(i, rec);
-    EXPECT_EQ(rec, d.records[i]) << "record " << i;
-  }
+  EXPECT_EQ(testutil::read_records(reader, 0, reader.num_records()),
+            d.records);
   // BAIX covers every record.
   EXPECT_EQ(bamx::BaixReader(baix).size(), d.records.size());
 }
@@ -341,9 +338,8 @@ TEST_P(PreprocSamRanks, ShardsContainAllRecords) {
   // M shards whose records, in manifest order, reproduce the input.
   bamx::RecordSource reader(manifest);
   EXPECT_EQ(reader.num_shards(), static_cast<size_t>(m));
-  std::vector<AlignmentRecord> all;
-  reader.read_range(0, reader.num_records(), all);
-  EXPECT_EQ(all, d.records);
+  EXPECT_EQ(testutil::read_records(reader, 0, reader.num_records()),
+            d.records);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, PreprocSamRanks,

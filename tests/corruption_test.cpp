@@ -189,10 +189,7 @@ TEST_P(CorruptionSeeds, BamxFlipsNeverCrash) {
                                   c.tmp.file("x.bamx"));
   try {
     bamx::RecordSource reader(path);
-    AlignmentRecord rec;
-    for (uint64_t i = 0; i < reader.num_records(); ++i) {
-      reader.read(i, rec);
-    }
+    testutil::read_records(reader, 0, reader.num_records());
   } catch (const Error&) {
   }
 }
@@ -203,10 +200,7 @@ TEST_P(CorruptionSeeds, BamxTruncationsNeverCrash) {
       truncate_copy(c.bamx_path, GetParam() + 300, c.tmp.file("t.bamx"));
   try {
     bamx::RecordSource reader(path);
-    AlignmentRecord rec;
-    for (uint64_t i = 0; i < reader.num_records(); ++i) {
-      reader.read(i, rec);
-    }
+    testutil::read_records(reader, 0, reader.num_records());
   } catch (const Error&) {
   }
 }

@@ -230,21 +230,6 @@ TEST(MiniMpi, AllreduceSum) {
   });
 }
 
-TEST(MiniMpi, AllreduceMax) {
-  run(5, [](Comm& comm) {
-    int best = comm.allreduce_max((comm.rank() * 7) % 5);
-    EXPECT_EQ(best, 4);  // ranks give 0,2,4,1,3
-  });
-}
-
-TEST(MiniMpi, ExscanSum) {
-  run(5, [](Comm& comm) {
-    int64_t prefix = comm.exscan_sum<int64_t>(comm.rank() + 1);
-    // rank r receives sum of (1..r).
-    EXPECT_EQ(prefix, comm.rank() * (comm.rank() + 1) / 2);
-  });
-}
-
 TEST(MiniMpi, RepeatedCollectivesInterleaved) {
   run(4, [](Comm& comm) {
     for (int i = 0; i < 20; ++i) {

@@ -131,10 +131,8 @@ TEST_P(TransportTest, BarrierAndCollectives) {
     // allgather
     auto all = c.allgather(std::string(1, static_cast<char>('w' + r)));
     NGSX_CHECK(all.size() == 4 && all[0] == "w" && all[3] == "z");
-    // reductions and scans
+    // reductions
     NGSX_CHECK(c.allreduce_sum<int64_t>(r + 1) == 10);
-    NGSX_CHECK(c.allreduce_max<int>(r * r) == 9);
-    NGSX_CHECK(c.exscan_sum<int>(1) == r);
     auto vals = c.allgather_values<int>(r * 10);
     NGSX_CHECK(static_cast<int>(vals.size()) == c.size());
     for (int i = 0; i < c.size(); ++i) {

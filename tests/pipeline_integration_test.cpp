@@ -7,7 +7,7 @@
 //     -> validate                       (formats/validate)
 //     -> preprocess to BAMXM/BAIX       (core, paper III-B)
 //     -> parallel conversion to BED     (core, paper III-A/B)
-//     -> BED interval algebra           (formats/bed)
+//     -> BED read + merge               (formats/bed)
 //     -> coverage histogram             (stats, paper IV)
 //     -> NL-means + FDR + peak calling  (stats, paper IV-A/B)
 //     -> peaks intersect planted truth  (formats/bed)

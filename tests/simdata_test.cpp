@@ -78,18 +78,6 @@ TEST(Reference, GcContentPlausible) {
   EXPECT_LT(gc / acgt, 0.60);
 }
 
-TEST(Reference, WriteFasta) {
-  TempDir tmp;
-  auto genome = ReferenceGenome::simulate(
-      {{"chrT", 150}}, 1);
-  std::string path = tmp.file("g.fasta");
-  genome.write_fasta(path);
-  std::string data = read_file(path);
-  EXPECT_EQ(data.substr(0, 6), ">chrT\n");
-  // 150 bases wrapped at 60 -> 3 sequence lines.
-  EXPECT_EQ(std::count(data.begin(), data.end(), '\n'), 4);
-}
-
 // ----------------------------------------------------------------- readsim
 
 struct SimFixture {

@@ -99,18 +99,27 @@ TEST(Histogram, FlattenConcatenatesChromosomes) {
   EXPECT_EQ(flat[40], 1.0);  // first bin of chr2
 }
 
-TEST(Histogram, BedgraphRoundTrip) {
+TEST(Histogram, BedgraphExactBytes) {
+  // The bytes ngsx_stats --bedgraph writes: one row per run of equal bins,
+  // zero runs included, the last row of each chromosome clamped to its
+  // length (chr2 is 510 bp, so its last 25 bp bin ends at 510).
   TempDir tmp;
-  CoverageHistogram h(small_header(), 25);
-  for (int i = 0; i < 30; ++i) {
-    h.add(rec_at(0, (i * 37) % 900));
-    h.add(rec_at(1, (i * 53) % 400, "45M"));
-  }
+  CoverageHistogram h(
+      SamHeader::from_references({{"chr1", 1000}, {"chr2", 510}}), 25);
+  h.add(rec_at(0, 0));           // bins 0-3
+  h.add(rec_at(0, 50));          // bins 2-5
+  h.add(rec_at(0, 990));         // bin 39, clamped at the chromosome end
+  h.add(rec_at(1, 500, "5M"));   // chr2's partial last bin
   std::string path = tmp.file("h.bedgraph");
   h.write_bedgraph(path);
-  auto back = CoverageHistogram::read_bedgraph(path, small_header(), 25);
-  EXPECT_EQ(back.bins(0), h.bins(0));
-  EXPECT_EQ(back.bins(1), h.bins(1));
+  EXPECT_EQ(read_file(path),
+            "chr1\t0\t50\t1\n"
+            "chr1\t50\t100\t2\n"
+            "chr1\t100\t150\t1\n"
+            "chr1\t150\t975\t0\n"
+            "chr1\t975\t1000\t1\n"
+            "chr2\t0\t500\t0\n"
+            "chr2\t500\t510\t1\n");
 }
 
 TEST(Histogram, BedgraphMergesRuns) {

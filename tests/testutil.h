@@ -4,12 +4,14 @@
 // far more of the codec state space than simulator output (degenerate
 // fields, every aux type, extreme values), used by the round-trip property
 // suites; the reference BAM preprocessor the parallel one is checked
-// against; and the coordinate order sorted fixtures are built with.
+// against; BAMX record reads; and the coordinate order sorted fixtures are
+// built with.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,6 +41,21 @@ inline bamx::BaixReader saved_baix_of(
     const std::string& path) {
   baix_of(records).save(path);
   return bamx::BaixReader(path);
+}
+
+/// Records [begin, end) of `source`, read the one way the library reads
+/// them: one read_raw_range, then decode_record per stride.
+inline std::vector<sam::AlignmentRecord> read_records(
+    const bamx::RecordSource& source, uint64_t begin, uint64_t end) {
+  std::string bytes;
+  source.read_raw_range(begin, end, bytes);
+  const uint64_t stride = source.layout().stride();
+  std::vector<sam::AlignmentRecord> out(end - begin);
+  for (uint64_t i = 0; i < end - begin; ++i) {
+    bamx::decode_record(std::string_view(bytes).substr(i * stride, stride),
+                        source.layout(), out[i]);
+  }
+  return out;
 }
 
 /// Reference BAM -> BAMX + BAIX: read every record, measure the layout,
